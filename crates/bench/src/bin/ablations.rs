@@ -17,7 +17,7 @@
 
 use bench::{paper_autotuner, paper_engine, stages, Table};
 use chopper::{CostWeights, TestRunPlan, Workload, WorkloadDb};
-use engine::{Key, PartitionerSpec, Record, Value, WorkloadConf};
+use engine::{FaultPlan, Key, PartitionerSpec, Record, Value, WorkloadConf};
 use workloads::{KMeans, KMeansConfig, Sql, SqlConfig};
 
 fn main() {
@@ -377,7 +377,11 @@ fn ablate_speculation() -> String {
                copart: bool| {
         let mut opts = paper_engine(300, copart);
         opts.workers = 2;
-        opts.speculation = speculation;
+        // A plan that sets only a speculation multiplier injects no faults.
+        opts.faults = speculation.map(|m| FaultPlan {
+            speculation: Some(m),
+            ..Default::default()
+        });
         if let Some((node, factor)) = slowdown {
             opts.cluster.nodes[node].speed /= factor;
         }

@@ -314,8 +314,8 @@ fn adaptive_gate() -> Vec<(String, bool)> {
 }
 
 /// Hard floor on the fresh `pipeline_sql_join_e2e` speedup: the pipelined
-/// shuffle must beat the barrier engine by at least this much end-to-end,
-/// regardless of what the committed baseline says.
+/// shuffle must beat the frozen stage-barrier data plane by at least this
+/// much end-to-end, regardless of what the committed baseline says.
 const PIPELINE_E2E_FLOOR: f64 = 1.3;
 
 /// Hard floors on the columnar data plane: the vectorized fused chain and
@@ -435,8 +435,8 @@ fn main() {
         failed |= !c.ok();
     }
     // The end-to-end pipelining win also has an absolute floor: whatever
-    // the committed baseline says, `--pipeline on` must beat `--pipeline
-    // off` by at least 1.3x on the SQL-join workload.
+    // the committed baseline says, the engine must beat the frozen
+    // stage-barrier data plane by at least 1.3x on the SQL-join workload.
     let e2e = shuffle_fresh
         .kernel("pipeline_sql_join_e2e")
         .map(|k| k.speedup);

@@ -1007,10 +1007,10 @@ fn shuffle_pipeline() -> String {
         "Shuffle pipeline — barrier vs push-based (BENCH_shuffle_pipeline.json)",
         "pipeline_sql_join_e2e is the headline: host wall-clock of a \
          multi-stage SQL-join workload (two aggregations feeding a join and \
-         a rebalance, 8 workers) with `--pipeline off` (stage-barrier \
-         engine) vs `--pipeline on` (push-based exchange, streaming merges, \
-         owned bucketize). The micro-kernels isolate the per-record wins \
-         the pipeline rides on. Timings are interleaved best-of-7 host \
+         a rebalance, 8 workers) on the frozen stage-barrier data plane \
+         (bench::dataplane::sql_join_barrier) vs the engine's push-based \
+         exchange (streaming merges, owned bucketize). The micro-kernels \
+         isolate the per-record wins the pipeline rides on. Timings are interleaved best-of-7 host \
          milliseconds; per kernel, the most conservative of three runs is \
          committed so the one-sided CI gate never inherits an inflated floor.",
         t.render(),

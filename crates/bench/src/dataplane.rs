@@ -8,9 +8,10 @@
 //! data_plane` and `repro -- dataplane` can quantify the persistent-pool +
 //! zero-copy data plane against the code it replaced, on identical inputs.
 
-use engine::shuffle::TaskBuckets;
+use engine::shuffle::{bucketize_in, Bucket, ConcatMerge, JoinMerge, ReduceMerge, TaskBuckets};
 use engine::{
-    batch_size, Context, EngineOptions, GenFn, Key, Partitioner, Record, ReduceFn, Value,
+    batch_size, build_partitioner, Context, EngineOptions, GenFn, Key, Partitioner,
+    PartitionerSpec, Record, ReduceFn, Value, WorkerPool,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -257,76 +258,178 @@ pub fn seed_merge_cogroup(left: &[Record], right: &[Record]) -> Vec<Record> {
         .collect()
 }
 
+/// Partitions of every stage of the SQL-join workload.
+const SQL_JOIN_PARTS: usize = 8;
+
+/// Inputs of the SQL-join workload: the two table generators and the
+/// per-key aggregate.
+struct SqlJoinTables {
+    orders: GenFn,
+    returns: GenFn,
+    merge: ReduceFn,
+}
+
+impl SqlJoinTables {
+    fn new(n: usize) -> Self {
+        // A row payload shaped like a small SQL tuple: (id, (qty, amount)).
+        // Boxed nesting makes cloning a row cost four heap allocations.
+        let row = |id: i64, qty: i64, amount: i64| {
+            Value::Pair(
+                Box::new(Value::Int(id)),
+                Box::new(Value::Pair(
+                    Box::new(Value::Int(qty)),
+                    Box::new(Value::Int(amount)),
+                )),
+            )
+        };
+        let orders: GenFn = Arc::new(move |i, p| {
+            let (lo, hi) = (i * n / p, (i + 1) * n / p);
+            (lo..hi)
+                .map(|j| Record::new(Key::Int((j % n) as i64), row(j as i64, 1, 7 * j as i64)))
+                .collect()
+        });
+        let returns: GenFn = Arc::new(move |i, p| {
+            let (lo, hi) = (i * n / p, (i + 1) * n / p);
+            (lo..hi)
+                .map(|j| {
+                    Record::new(
+                        Key::Int(((j * 3) % n) as i64),
+                        row(-(j as i64), 1, 11 * j as i64),
+                    )
+                })
+                .collect()
+        });
+        let merge: ReduceFn = Arc::new(|a, b| match (a, b) {
+            (Value::Pair(a1, rest_a), Value::Pair(b1, rest_b)) => {
+                match (rest_a.as_ref(), rest_b.as_ref()) {
+                    (Value::Pair(a2, a3), Value::Pair(b2, b3)) => Value::Pair(
+                        Box::new(Value::Int(a1.as_int().min(b1.as_int()))),
+                        Box::new(Value::Pair(
+                            Box::new(Value::Int(a2.as_int() + b2.as_int())),
+                            Box::new(Value::Int(a3.as_int().max(b3.as_int()))),
+                        )),
+                    ),
+                    _ => unreachable!("nested pair rows"),
+                }
+            }
+            _ => unreachable!("pair-valued tables"),
+        });
+        SqlJoinTables {
+            orders,
+            returns,
+            merge,
+        }
+    }
+
+    /// Size of each generated table as registered in the block store.
+    fn table_bytes(n: usize) -> u64 {
+        30 * n as u64
+    }
+}
+
 /// Builds and runs the multi-stage SQL-join workload used by the
 /// shuffle-pipeline benchmark: two generated tables each aggregated with
 /// `reduce_by_key` (independent sibling stages), joined on the shared key
-/// space, then collected. Returns the joined rows.
+/// space, rebalanced, then collected. Returns the joined rows.
 ///
-/// The tables carry boxed `Value::Pair` payloads, so every record the
-/// barrier engine clones out of a map bucket costs two heap allocations —
-/// exactly the copies the push-based exchange elides by moving bucket
-/// ownership into the reduce-side merges.
-pub fn sql_join_workload(pipeline: bool, workers: usize, rows: usize) -> Vec<Record> {
-    let parts = 8;
+/// The tables carry boxed `Value::Pair` payloads, so every record a
+/// stage-barrier engine clones out of a map bucket costs two heap
+/// allocations — exactly the copies the push-based exchange elides by
+/// moving bucket ownership into the reduce-side merges (compare
+/// [`sql_join_barrier`]).
+pub fn sql_join_workload(workers: usize, rows: usize) -> Vec<Record> {
     let opts = EngineOptions {
         workers,
-        pipeline,
-        ..crate::paper_engine(parts, false)
+        ..crate::paper_engine(SQL_JOIN_PARTS, false)
     };
     let mut ctx = Context::new(opts);
-    let n = rows;
-
-    // A row payload shaped like a small SQL tuple: (id, (qty, amount)).
-    // Boxed nesting makes cloning a row cost four heap allocations.
-    let row = |id: i64, qty: i64, amount: i64| {
-        Value::Pair(
-            Box::new(Value::Int(id)),
-            Box::new(Value::Pair(
-                Box::new(Value::Int(qty)),
-                Box::new(Value::Int(amount)),
-            )),
-        )
-    };
-    let gen_orders: GenFn = Arc::new(move |i, p| {
-        let (lo, hi) = (i * n / p, (i + 1) * n / p);
-        (lo..hi)
-            .map(|j| Record::new(Key::Int((j % n) as i64), row(j as i64, 1, 7 * j as i64)))
-            .collect()
-    });
-    let gen_returns: GenFn = Arc::new(move |i, p| {
-        let (lo, hi) = (i * n / p, (i + 1) * n / p);
-        (lo..hi)
-            .map(|j| {
-                Record::new(
-                    Key::Int(((j * 3) % n) as i64),
-                    row(-(j as i64), 1, 11 * j as i64),
-                )
-            })
-            .collect()
-    });
-    let orders = ctx.text_file("pipe.orders", 30 * n as u64, gen_orders, 1e-9, "orders");
-    let returns = ctx.text_file("pipe.returns", 30 * n as u64, gen_returns, 1e-9, "returns");
-
-    let merge_pair: ReduceFn = Arc::new(|a, b| match (a, b) {
-        (Value::Pair(a1, rest_a), Value::Pair(b1, rest_b)) => {
-            match (rest_a.as_ref(), rest_b.as_ref()) {
-                (Value::Pair(a2, a3), Value::Pair(b2, b3)) => Value::Pair(
-                    Box::new(Value::Int(a1.as_int().min(b1.as_int()))),
-                    Box::new(Value::Pair(
-                        Box::new(Value::Int(a2.as_int() + b2.as_int())),
-                        Box::new(Value::Int(a3.as_int().max(b3.as_int()))),
-                    )),
-                ),
-                _ => unreachable!("nested pair rows"),
-            }
-        }
-        _ => unreachable!("pair-valued tables"),
-    });
-    let agg_orders = ctx.reduce_by_key(orders, merge_pair.clone(), None, 1e-9, "agg-orders");
-    let agg_returns = ctx.reduce_by_key(returns, merge_pair, None, 1e-9, "agg-returns");
+    let tables = SqlJoinTables::new(rows);
+    let bytes = SqlJoinTables::table_bytes(rows);
+    let orders = ctx.text_file("pipe.orders", bytes, tables.orders, 1e-9, "orders");
+    let returns = ctx.text_file("pipe.returns", bytes, tables.returns, 1e-9, "returns");
+    let merge = tables.merge;
+    let agg_orders = ctx.reduce_by_key(orders, merge.clone(), None, 1e-9, "agg-orders");
+    let agg_returns = ctx.reduce_by_key(returns, merge, None, 1e-9, "agg-returns");
     let joined = ctx.join(agg_orders, agg_returns, None, 1e-9, "join-tables");
     let balanced = ctx.repartition(joined, None, "rebalance");
     ctx.collect(balanced, "sql-join-pipeline")
+}
+
+/// The stage-barrier data plane the engine ran before every job moved onto
+/// the push-based exchange, frozen over the DAG [`sql_join_workload`]
+/// builds: the shuffle-pipeline benchmark's "before". Stages run in plan
+/// order, and each one is two pool passes with a barrier between them —
+/// every task computes its output, then a separate pass bucketizes each
+/// output with the cloning [`bucketize_in`]. Only after a map stage's last
+/// bucket is cut do its consumer's reduce and join tasks start, each
+/// cloning its bucket column out of the shared map outputs before
+/// merging. Returns the collected rows. Unlike [`sql_join_workload`] it
+/// simulates nothing: only the host data plane is timed.
+pub fn sql_join_barrier(workers: usize, rows: usize) -> Vec<Record> {
+    let pool = WorkerPool::new(workers);
+    let tables = SqlJoinTables::new(rows);
+    // Spark's split rule for a block-backed source: one task per block,
+    // at least the default parallelism.
+    let block_size = EngineOptions::default().block_size;
+    let maps = (SqlJoinTables::table_bytes(rows).div_ceil(block_size) as usize).max(SQL_JOIN_PARTS);
+    let hash = build_partitioner(PartitionerSpec::hash(SQL_JOIN_PARTS), std::iter::empty(), 0);
+
+    // Phase B of a map stage: the barrier bucketize pass.
+    let bucketize = |outs: &[Vec<Record>], combine: Option<&ReduceFn>| -> Vec<Vec<Bucket>> {
+        pool.map_with(outs.len(), |i, p| {
+            bucketize_in(&outs[i], &*hash, combine, &mut pool.arena(p))
+                .0
+                .buckets
+        })
+    };
+    // Reduce partition `i`'s column of a finished map stage.
+    let column = |stage: &[Vec<Bucket>], i: usize| -> Vec<Bucket> {
+        stage.iter().map(|tb| tb[i].clone()).collect()
+    };
+    // Generate a table, combine it map-side, merge it reduce-side, and
+    // bucketize the aggregate for the join.
+    let aggregate = |gen: &GenFn| -> Vec<Vec<Bucket>> {
+        let outs = pool.map(maps, |i| gen(i, maps));
+        let buckets = bucketize(&outs, Some(&tables.merge));
+        let aggs = pool.map(SQL_JOIN_PARTS, |i| {
+            let mut m = ReduceMerge::new(Arc::clone(&tables.merge));
+            for b in column(&buckets, i) {
+                m.push_bucket(&b);
+            }
+            m.finish().0
+        });
+        bucketize(&aggs, None)
+    };
+    let orders = aggregate(&tables.orders);
+    let returns = aggregate(&tables.returns);
+    let joined = pool.map(SQL_JOIN_PARTS, |i| {
+        let (mut l, mut r) = (Vec::new(), Vec::new());
+        for b in column(&orders, i) {
+            b.extend_into(&mut l);
+        }
+        for b in column(&returns, i) {
+            b.extend_into(&mut r);
+        }
+        let mut m = JoinMerge::new();
+        m.push_left_owned(l);
+        m.seal_left();
+        m.push_right_owned(r);
+        m.finish().0
+    });
+    let balanced = bucketize(&joined, None);
+    let outs = pool.map(SQL_JOIN_PARTS, |i| {
+        let mut m = ConcatMerge::new();
+        for b in column(&balanced, i) {
+            m.push_bucket(&b);
+        }
+        m.finish()
+    });
+    // The driver clones every task's rows into one growing result vector.
+    let mut all = Vec::new();
+    for out in &outs {
+        all.extend_from_slice(out);
+    }
+    all
 }
 
 #[cfg(test)]
@@ -448,10 +551,17 @@ mod tests {
     }
 
     #[test]
-    fn sql_join_workload_pipeline_matches_barrier() {
-        let on = sql_join_workload(true, 2, 3_000);
-        let off = sql_join_workload(false, 2, 3_000);
-        assert!(!on.is_empty());
-        assert_eq!(on, off);
+    fn sql_join_barrier_matches_the_engine() {
+        let sorted = |mut v: Vec<Record>| {
+            v.sort_by(|a, b| {
+                a.key
+                    .cmp(&b.key)
+                    .then_with(|| format!("{:?}", a.value).cmp(&format!("{:?}", b.value)))
+            });
+            v
+        };
+        let engine = sorted(sql_join_workload(2, 3_000));
+        assert!(!engine.is_empty());
+        assert_eq!(sorted(sql_join_barrier(2, 3_000)), engine);
     }
 }

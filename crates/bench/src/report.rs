@@ -8,7 +8,7 @@
 
 use crate::dataplane::{
     fused_chain, seed_bucketize, seed_chain, seed_merge_cogroup, seed_merge_join, spawn_par_map,
-    sql_join_workload, ChainOp,
+    sql_join_barrier, sql_join_workload, ChainOp,
 };
 use engine::shuffle::{bucketize, bucketize_columnar, bucketize_in, bucketize_owned_in, TaskArena};
 use engine::{
@@ -457,7 +457,8 @@ pub fn measure_dataplane() -> DataplaneReport {
 }
 
 /// Runs the shuffle-pipeline measurement: the end-to-end SQL-join workload
-/// with the push-based exchange on vs off (the PR's headline number), plus
+/// on the push-based exchange vs the frozen stage-barrier data plane it
+/// replaced (the headline number), plus
 /// the reduce-side merge and owned-bucketize micro-kernels it rides on.
 /// The whole document reuses the [`DataplaneReport`] schema (experiment
 /// `"shuffle_pipeline"`) so [`gate_checks`] works unchanged.
@@ -466,16 +467,16 @@ pub fn measure_shuffle_pipeline() -> DataplaneReport {
     let rows = 100_000;
 
     // Kernel 1 (the acceptance number): end-to-end wall-clock of the
-    // multi-stage SQL-join workload, barrier vs pipelined.
+    // multi-stage SQL-join workload, frozen barrier vs pipelined engine.
     let (e2e_off, e2e_on) = time_pair_ms(
         || {
             once_ms(|| {
-                std::hint::black_box(sql_join_workload(false, workers, rows));
+                std::hint::black_box(sql_join_barrier(workers, rows));
             })
         },
         || {
             once_ms(|| {
-                std::hint::black_box(sql_join_workload(true, workers, rows));
+                std::hint::black_box(sql_join_workload(workers, rows));
             })
         },
     );
@@ -528,7 +529,7 @@ pub fn measure_shuffle_pipeline() -> DataplaneReport {
         },
     );
 
-    // Kernel 4: map-side bucketize, cloning (barrier engine) vs moving
+    // Kernel 4: map-side bucketize, cloning (frozen barrier plane) vs moving
     // (pipelined executor owns the task output). The owned variant's input
     // copy is made outside the timed section.
     // A single bucketize pass is only a few milliseconds; five per window

@@ -13,8 +13,8 @@
 //! Data content is not stored here — the engine materializes records itself;
 //! the block store tracks *where bytes live* and *how much I/O happened*.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 
 /// Index of a data node (aligned with `simcluster::NodeId`).
 pub type NodeId = usize;
@@ -82,6 +82,14 @@ pub struct BlockStore {
 }
 
 impl BlockStore {
+    /// Locks the store state, ignoring poisoning: every update leaves
+    /// `Inner` consistent, so a panicked holder cannot corrupt it.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// Creates a store with HDFS-ish defaults: 128 MB blocks, 3-way
     /// replication (capped at the node count).
     pub fn new(num_nodes: usize) -> Self {
@@ -152,7 +160,7 @@ impl BlockStore {
     /// `Err(StoreFull)` when no node has room for a block, leaving the
     /// store (including any previous file under `name`) untouched.
     pub fn try_create_file(&self, name: &str, total_bytes: u64) -> Result<usize, StoreFull> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         // Plan placement on a scratch copy of the usage vector so a
         // failure mid-file leaves the store unchanged. The scratch view
         // pretends the old file is already gone (re-creation replaces).
@@ -208,7 +216,7 @@ impl BlockStore {
     /// enforced for spill files. Returns the number of blocks created.
     pub fn create_file_on(&self, name: &str, total_bytes: u64, node: NodeId) -> usize {
         assert!(node < self.num_nodes, "spill target node out of range");
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         if let Some(old) = inner.files.remove(name) {
             for b in &old {
                 for &n in &b.replicas {
@@ -264,13 +272,12 @@ impl BlockStore {
 
     /// The block list of a file, if it exists.
     pub fn file_blocks(&self, name: &str) -> Option<Vec<BlockMeta>> {
-        self.inner.lock().files.get(name).cloned()
+        self.lock().files.get(name).cloned()
     }
 
     /// Total length of a file in bytes.
     pub fn file_len(&self, name: &str) -> Option<u64> {
-        self.inner
-            .lock()
+        self.lock()
             .files
             .get(name)
             .map(|bs| bs.iter().map(|b| b.size).sum())
@@ -279,7 +286,7 @@ impl BlockStore {
     /// Records a full read of the file, charging one read transaction per
     /// block, and returns the block list for locality-aware scheduling.
     pub fn read_file(&self, name: &str) -> Option<Vec<BlockMeta>> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let blocks = inner.files.get(name).cloned()?;
         for b in &blocks {
             inner.counters.reads += 1;
@@ -296,7 +303,7 @@ impl BlockStore {
     /// equivalence tests depend on. Returns `None` when the file/block
     /// is missing or every replica is down.
     pub fn select_replica(&self, name: &str, block: usize, down: &[bool]) -> Option<NodeId> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         let meta = inner.files.get(name)?.get(block)?;
         Self::pick_from(&meta.replicas, down)
     }
@@ -305,7 +312,7 @@ impl BlockStore {
     /// transaction for the block — the accounting a recovery-time replica
     /// read produces.
     pub fn read_replica(&self, name: &str, block: usize, down: &[bool]) -> Option<NodeId> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         let meta = inner.files.get(name)?.get(block)?.clone();
         let node = Self::pick_from(&meta.replicas, down)?;
         inner.counters.reads += 1;
@@ -318,7 +325,7 @@ impl BlockStore {
     /// The engine re-homes data whose holder was lost onto this node.
     /// Returns `None` when every node is down.
     pub fn pick_survivor(&self, down: &[bool]) -> Option<NodeId> {
-        let inner = self.inner.lock();
+        let inner = self.lock();
         (0..self.num_nodes)
             .filter(|&n| !down.get(n).copied().unwrap_or(false))
             .min_by_key(|&n| (inner.used_bytes[n], n))
@@ -334,7 +341,7 @@ impl BlockStore {
 
     /// Deletes a file, releasing its space. Returns whether it existed.
     pub fn delete_file(&self, name: &str) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.lock();
         match inner.files.remove(name) {
             Some(blocks) => {
                 for b in &blocks {
@@ -350,12 +357,12 @@ impl BlockStore {
 
     /// Bytes stored per node (all replicas counted).
     pub fn used_bytes(&self) -> Vec<u64> {
-        self.inner.lock().used_bytes.clone()
+        self.lock().used_bytes.clone()
     }
 
     /// Snapshot of the I/O counters.
     pub fn counters(&self) -> IoCounters {
-        self.inner.lock().counters
+        self.lock().counters
     }
 
     /// Number of data nodes.

@@ -5,9 +5,8 @@
 //! reduce partition stalls the whole stage. This module closes that gap
 //! *inside* a job: by the time a reduce task could start, its exchange
 //! already holds the complete map×partition byte table, so the engine can
-//! decide — identically in the barrier and pipelined executors, and
-//! identically under any fault plan — to split hot partitions into
-//! sub-tasks before reduce work is dispatched.
+//! decide — identically at any worker count and under any fault plan — to
+//! split hot partitions into sub-tasks before reduce work is dispatched.
 //!
 //! Determinism rules (the reason this is safe to default on):
 //!
@@ -294,9 +293,8 @@ pub(crate) struct SubTaskStats {
 /// materialized to owned rows. Each record is routed once
 /// (charged at [`PARTITION_COST`]) and each sub pays the same merge cost
 /// shape as an unsplit task over its share, so the sum of sub costs equals
-/// the unsplit cost plus the routing charge. Shared verbatim by the
-/// barrier and pipelined executors — the returned records, cost, and
-/// stats are bit-identical given identical inputs.
+/// the unsplit cost plus the routing charge. The returned records, cost,
+/// and stats are bit-identical given identical inputs.
 pub(crate) fn merge_split(
     maps: Vec<Vec<Record>>,
     merge: &MergeKind,

@@ -1,37 +1,34 @@
-//! Push-based pipelined shuffle executor.
+//! Push-based pipelined shuffle executor: the engine's one data plane.
 //!
-//! The barrier engine ([`crate::exec`]) walks the DAG one stage at a time:
-//! every map task of a stage finishes, its buckets are stored, and only
-//! then do the consumer's reduce tasks start, each re-materializing and
-//! folding every bucket. This module removes that barrier on the *host*
-//! side: map tasks publish completed [`TaskBuckets`] into a per-shuffle
+//! Map tasks publish completed [`TaskBuckets`] into a per-shuffle
 //! [`Exchange`] the moment they finish, and reduce tasks start merging as
-//! soon as a deterministic prefix of map outputs is available. Independent
-//! sibling stages (e.g. the two parents of a join) run concurrently on the
-//! same [`WorkerPool`].
+//! soon as a deterministic prefix of map outputs is available — there is no
+//! host-side barrier between a stage and its consumers. Independent sibling
+//! stages (e.g. the two parents of a join) run concurrently on the same
+//! [`WorkerPool`].
 //!
 //! **Determinism rule:** a reduce task consumes buckets strictly in map-task
 //! index order — bucket `m` is taken only once map tasks `0..=m` have all
 //! published (the exchange exposes a contiguous *available prefix*). Merges
-//! therefore see exactly the byte stream the barrier engine fed them, so
-//! results, per-bucket byte counts, range samples, and every simulated cost
-//! stay bit-identical to `--pipeline off`.
+//! therefore see the same byte stream at any worker count, so results,
+//! per-bucket byte counts, range samples, and every simulated cost are
+//! bit-identical across host parallelism.
 //!
 //! The executor only does data-plane work (compute, merge, bucketize). It
 //! never touches the simulation, block store, or memory manager: after it
 //! returns, [`crate::exec`] replays each stage in plan order against the
-//! recorded [`StageData`], performing the identical fetch accounting,
-//! simulated timing, cache persistence, metrics, and virtual-clock trace
-//! emission as the barrier engine.
+//! recorded [`StageData`], performing fetch accounting, simulated timing,
+//! memory governance, cache persistence, metrics, and virtual-clock trace
+//! emission.
 //!
-//! **Faults.** Fault injection and recovery live entirely in that replay
-//! (`exec_stage` applies due plan events at each stage boundary and
-//! perturbs only the simulated task specs), so a pipelined run survives
-//! the same fault plan as a barrier run with the same virtual-clock
-//! outcome. In simulated terms the pipeline's consumers are parked while
-//! a lost producer's map outputs are recomputed: the replay charges the
-//! recompute before any consumer fetch accounting for that shuffle, even
-//! though the host-side data plane already ran to completion up front.
+//! **Faults and memory.** Fault injection and recovery, and every
+//! eviction/spill decision, live entirely in that replay (`exec_stage`
+//! applies due plan events at each stage boundary and perturbs only the
+//! simulated task specs; spilled cache entries keep their host `Arc`s).
+//! In simulated terms the pipeline's consumers are parked while a lost
+//! producer's map outputs are recomputed: the replay charges the recompute
+//! before any consumer fetch accounting for that shuffle, even though the
+//! host-side data plane already ran to completion up front.
 
 use crate::exec::{
     capture_arc, compute_task, run_chain_and_finish, Materialized, MergeKind, RootInput,
@@ -78,7 +75,7 @@ pub(crate) struct StageData {
     /// `bytes[map_task][reduce_partition]` for shuffle-write stages.
     pub(crate) bucket_bytes: Option<Vec<Vec<u64>>>,
     /// Per-task bucketize cost (partitioning + map-side combine + range
-    /// sampling), mirroring the barrier engine's phase-B accounting.
+    /// sampling), charged on top of the task's compute cost.
     pub(crate) extra_cost: Vec<f64>,
 }
 
@@ -100,9 +97,9 @@ pub(crate) struct PipelineInput<'a> {
     /// the unit queue and virtual accounting are identical at any width.
     pub(crate) lanes: usize,
     /// Adaptive hot-partition splitting (`EngineOptions::adaptive`).
-    /// Eligible consumers gate on the full map×partition byte table and
-    /// split exactly as the barrier engine does — same decision inputs,
-    /// same shared split-merge, bit-identical outputs and sub stats.
+    /// Eligible consumers gate on the full map×partition byte table, the
+    /// same decision input the driver's replay uses to build sub-task
+    /// specs.
     pub(crate) adaptive: bool,
 }
 
@@ -461,9 +458,8 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
                         OpKind::Repartition { .. } => MergeKind::Concat,
                         other => unreachable!("single-parent wide op expected, got {other:?}"),
                     };
-                    // Same eligibility and seed derivation as the barrier
-                    // engine's `exec_stage`, so both engines gate and split
-                    // identically.
+                    // Same eligibility test as the driver's replay in
+                    // `exec_stage`, so both agree on which stages split.
                     let split_seed = (adaptive
                         && crate::adaptive::split_eligible(plan, graph, s).is_some())
                     .then(|| crate::adaptive::split_seed(job_id, s));
@@ -498,7 +494,8 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
                     } else {
                         None
                     };
-                    // Same seed derivation as the barrier engine's phase B.
+                    // Stage-level seed of the range partitioner and of
+                    // each task's reservoir sample.
                     let seed = (job_id as u64) << 32 | (s as u64) << 8 | 0xC0;
                     let is_range = spec.kind == PartitionerKind::Range;
                     let partitioner = OnceLock::new();
@@ -529,10 +526,10 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
                 _ => None,
             };
             let root_rdd = stage.root_rdd();
-            // Evaluated at job start — a superset of the barrier engine's
-            // per-stage check when an earlier stage of this job captures the
-            // same RDD; the driver's replay drops redundant captures with no
-            // observable divergence (captures are cost-free).
+            // Evaluated at job start, so an RDD that two stages of this job
+            // both compute is captured by each; the driver's replay keeps
+            // the first capture and drops the rest with no observable
+            // divergence (captures are cost-free).
             let capture_root = graph.node(root_rdd).cached
                 && !materialized.contains_key(&root_rdd)
                 && !matches!(stage.root, StageRoot::CachedRead(_));
@@ -848,8 +845,7 @@ fn run_unit(rt: &Runtime<'_>, uid: usize, participant: usize) -> Progress {
                     continue;
                 }
                 // Hot partition: take the whole column in map order and
-                // run the shared split merge — the identical routine the
-                // barrier engine's `compute_task` runs on its buckets.
+                // run the key-preserving split merge.
                 let mut maps_rows: Vec<Vec<Record>> = Vec::with_capacity(exch.maps);
                 let mut fetched = 0u64;
                 let mut bytes = 0u64;
@@ -923,8 +919,7 @@ fn run_unit(rt: &Runtime<'_>, uid: usize, participant: usize) -> Progress {
                     unreachable!()
                 };
                 // Drain the left side fully, seal, then the right: the
-                // merge sees both streams in map-index order, exactly as
-                // the barrier engine's flattened inputs.
+                // merge sees both streams in map-index order.
                 if !consume_side(rt, left, task, uid, jp, true) {
                     return Progress::Parked;
                 }
@@ -947,8 +942,8 @@ fn run_unit(rt: &Runtime<'_>, uid: usize, participant: usize) -> Progress {
     }
 
     // A merge-root unit consumed every input: finish the merge (charging
-    // costs in the barrier engine's exact f64 accumulation order), run the
-    // narrow chain, and hand the output on.
+    // costs in a fixed f64 accumulation order), run the narrow chain, and
+    // hand the output on.
     let state = mem::replace(&mut unit.state, UnitState::Bucketize);
     let (records, cost, fetched, bytes) = match state {
         UnitState::Shuffle(sp) => {
@@ -1133,8 +1128,8 @@ fn finish_unit(
                 return Progress::Parked;
             }
             // Last depositor: build the range partitioner from every
-            // task's reservoir sample, concatenated in task order — the
-            // same key stream the barrier engine feeds it.
+            // task's reservoir sample, concatenated in task order, so the
+            // bounds are independent of worker scheduling.
             let woken = mem::take(&mut st.waiters);
             drop(st);
             let OutputRecipe::Shuffle {

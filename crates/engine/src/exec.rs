@@ -9,13 +9,10 @@
 use crate::config::WorkloadConf;
 use crate::metrics::{JobMetrics, StageKind, StageMetrics};
 use crate::ops::{FilterFn, FlatMapFn, GenFn, MapFn, OpKind, ReduceFn};
-use crate::partitioner::{build_partitioner, Partitioner, PartitionerSpec};
+use crate::partitioner::PartitionerSpec;
 use crate::pool::WorkerPool;
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, Key, Record};
-use crate::shuffle::{
-    Bucket, CogroupMerge, ConcatMerge, GroupMerge, JoinMerge, ReduceMerge, TaskBuckets,
-};
 use crate::stage::{plan_job, MaterializedInfo, Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use blockstore::BlockStore;
 use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
@@ -56,10 +53,6 @@ pub struct EngineOptions {
     /// Driver link bandwidth (bytes/s) for result collection (the paper's
     /// master sits on the 1 GbE segment).
     pub driver_bandwidth: f64,
-    /// Spark-style speculative execution: when `Some(m)`, tasks running
-    /// longer than `m` × the stage's median get a backup copy on another
-    /// node. The reactive alternative to CHOPPER's proactive partitioning.
-    pub speculation: Option<f64>,
     /// Execution-trace sink. Disabled by default; when enabled, stage
     /// spans, task timelines, shuffle counters, and pool scheduling
     /// counters are recorded. Tracing only observes — simulated timings
@@ -69,20 +62,17 @@ pub struct EngineOptions {
     /// leaves the storage layer ungoverned — the cache never evicts and
     /// nothing spills, preserving the historical behaviour bit-for-bit.
     /// `Some(b)` bounds each node's cached data + task working sets at
-    /// `b` bytes, enabling eviction, spill, and recompute paths.
+    /// `b` bytes, enabling eviction, spill, and recompute paths. Governed
+    /// jobs run on the same pipelined data plane as ungoverned ones: every
+    /// memory-manager decision is virtual accounting, made while the driver
+    /// replays the job's stages in plan order.
     pub executor_mem: Option<u64>,
     /// Victim-selection policy for the bounded cache (LRC by default:
     /// DAG-aware least-reference-count, after Yang et al.).
     pub eviction_policy: EvictionPolicy,
-    /// Push-based pipelined shuffle (the default): map tasks publish
-    /// buckets into a per-shuffle exchange and reduce tasks merge as map
-    /// outputs become available, with independent sibling stages running
-    /// concurrently on the worker pool. Results, metrics, and
-    /// virtual-clock traces are bit-identical either way — only host
-    /// wall-clock behaviour differs. `false` restores the stage-barrier
-    /// engine. Memory-governed contexts (`executor_mem`) always use the
-    /// barrier engine, because eviction decisions are interleaved with
-    /// stage execution.
+    /// Ignored: every job runs on the pipelined executor. Kept only so
+    /// struct literals that still set it compile; it will be removed once
+    /// no caller names it.
     pub pipeline: bool,
     /// Deterministic fault-injection plan. `None` (the default) runs
     /// fault-free — the recovery hooks cost nothing. `Some(plan)` injects
@@ -118,9 +108,9 @@ pub struct EngineOptions {
     /// map×partition byte table and splits hot reduce partitions into
     /// sub-tasks before reduce work dispatches (see [`crate::adaptive`]).
     /// Every decision is a pure function of data-plane byte counts, so
-    /// results stay bit-identical across worker counts, engines, and
-    /// fault plans; sorted output tables equal the unsplit run's. `false`
-    /// restores static plans bit-for-bit — timings included.
+    /// results stay bit-identical across worker counts and fault plans;
+    /// sorted output tables equal the unsplit run's. `false` restores
+    /// static plans bit-for-bit — timings included.
     pub adaptive: bool,
     /// Between-jobs re-optimization hook. After each job the engine hands
     /// the hook that job's per-stage actuals ([`crate::adaptive::StageActuals`]);
@@ -143,7 +133,6 @@ impl Default for EngineOptions {
             trace_bucket: 10.0,
             block_size: 128 * 1024 * 1024,
             driver_bandwidth: 1e9 / 8.0,
-            speculation: None,
             trace: TraceSink::disabled(),
             executor_mem: None,
             eviction_policy: EvictionPolicy::default(),
@@ -179,11 +168,6 @@ impl EngineOptions {
     /// parse time so the user gets the message instead of a silent
     /// fallback.
     pub fn validate(&self) -> Result<(), String> {
-        if let Some(m) = self.speculation {
-            if m.is_nan() || m <= 1.0 {
-                return Err(format!("speculation multiplier must be > 1, got {m}"));
-            }
-        }
         if let Some(plan) = &self.faults {
             plan.validate(self.cluster.num_nodes())?;
             if self.executor_mem.is_some() {
@@ -192,13 +176,6 @@ impl EngineOptions {
                      recovery re-homes data through the ungoverned store, while \
                      governed runs interleave evictions with stage execution — \
                      drop one of the two"
-                        .to_string(),
-                );
-            }
-            if plan.speculation.is_some() && self.speculation.is_some() {
-                return Err(
-                    "speculation is configured twice: both the fault plan and the \
-                     engine speculation option set a multiplier — remove one"
                         .to_string(),
                 );
             }
@@ -220,9 +197,8 @@ pub(crate) struct Materialized {
 }
 
 pub(crate) struct ShuffleData {
-    /// `buckets[map_task][reduce_partition]` — row vectors or columnar
-    /// batch slices, per the producing task's layout.
-    pub(crate) buckets: Vec<Vec<Bucket>>,
+    /// `bytes[map_task][reduce_partition]`: the serialized size of each
+    /// bucket the producer published into the exchange.
     pub(crate) bytes: Vec<Vec<u64>>,
     pub(crate) nodes: Vec<NodeId>,
     pub(crate) producer_gid: usize,
@@ -319,9 +295,6 @@ impl Context {
             panic!("invalid engine options: {msg}");
         }
         let mut sim = Simulation::with_trace_bucket(options.cluster.clone(), options.trace_bucket);
-        if let Some(multiplier) = options.speculation {
-            sim.enable_speculation(multiplier);
-        }
         if let Some(multiplier) = options.faults.as_ref().and_then(|p| p.speculation) {
             sim.enable_speculation(multiplier);
         }
@@ -845,48 +818,43 @@ impl Context {
         let job_id = self.jobs.len();
         let job_start = self.sim.clock();
 
-        // Pipelined mode runs the whole job's data plane up front on the
-        // host pool — map tasks push buckets into per-shuffle exchanges,
-        // reduce tasks merge incrementally, sibling stages overlap — then
-        // the loop below replays each stage's virtual-cluster accounting in
-        // plan order from the recorded per-stage data. Memory-governed
-        // contexts keep the barrier engine: eviction decisions interleave
-        // with stage execution.
-        let pipelined = self.options.pipeline && !self.governed();
-        let mut pre_stages: std::collections::VecDeque<crate::exchange::StageData> =
-            std::collections::VecDeque::new();
-        if pipelined {
-            let num_tasks: Vec<usize> = plan
-                .stages
-                .iter()
-                .map(|s| self.stage_partitions(&plan, s).max(1))
-                .collect();
-            pre_stages = crate::exchange::run_pipelined(crate::exchange::PipelineInput {
-                graph: &self.graph,
-                plan: &plan,
-                num_tasks: &num_tasks,
-                materialized: &self.materialized,
-                pool: &self.pool,
-                job_id,
-                trace: &self.options.trace,
-                batch: self.options.batch,
-                lanes: self.lane_cap().min(self.pool.workers()),
-                adaptive: self.options.adaptive,
-            })
-            .into();
-        }
+        // The whole job's data plane runs up front on the host pool — map
+        // tasks push buckets into per-shuffle exchanges, reduce tasks merge
+        // incrementally, sibling stages overlap — then the loop below
+        // replays each stage's virtual-cluster accounting in plan order
+        // from the recorded per-stage data. Memory governance lives in that
+        // replay: spills keep their host `Arc`s, and the pin floor in
+        // `lineage_refs` keeps every entry this plan reads from being
+        // dropped, so eviction decisions never change what the data plane
+        // already read.
+        let num_tasks: Vec<usize> = plan
+            .stages
+            .iter()
+            .map(|s| self.stage_partitions(&plan, s).max(1))
+            .collect();
+        let stage_data = crate::exchange::run_pipelined(crate::exchange::PipelineInput {
+            graph: &self.graph,
+            plan: &plan,
+            num_tasks: &num_tasks,
+            materialized: &self.materialized,
+            pool: &self.pool,
+            job_id,
+            trace: &self.options.trace,
+            batch: self.options.batch,
+            lanes: self.lane_cap().min(self.pool.workers()),
+            adaptive: self.options.adaptive,
+        });
 
         let mut shuffles: Vec<Option<ShuffleData>> = Vec::new();
         shuffles.resize_with(plan.shuffles.len(), || None);
         let mut stage_metrics: Vec<StageMetrics> = Vec::new();
         let mut result: Vec<Record> = Vec::new();
 
-        for (idx, stage) in plan.stages.iter().enumerate() {
+        for ((idx, stage), recorded) in plan.stages.iter().enumerate().zip(stage_data) {
             let gid = self.next_stage_id;
             self.next_stage_id += 1;
-            let pre = pre_stages.pop_front();
             let (metrics, output_records) =
-                self.exec_stage(&plan, idx, stage, gid, job_id, &mut shuffles, pre);
+                self.exec_stage(&plan, idx, stage, gid, job_id, &mut shuffles, recorded);
             stage_metrics.push(metrics);
             if let Some(records) = output_records {
                 result = records;
@@ -1047,6 +1015,10 @@ impl Context {
         cur
     }
 
+    /// Replays one stage's virtual-cluster side — fetch accounting,
+    /// simulation, memory governance, cache persistence, metrics, trace —
+    /// from the data-plane record the pipelined executor left in
+    /// `recorded`.
     #[allow(clippy::too_many_arguments)]
     fn exec_stage(
         &mut self,
@@ -1056,144 +1028,103 @@ impl Context {
         gid: usize,
         job_id: usize,
         shuffles: &mut [Option<ShuffleData>],
-        pre: Option<crate::exchange::StageData>,
+        recorded: crate::exchange::StageData,
     ) -> (StageMetrics, Option<Vec<Record>>) {
         let num_tasks = self.stage_partitions(plan, stage).max(1);
         // Fault plan: apply node-loss and slow-node events whose virtual
         // time has passed before this stage reads any placement state, so
         // preps see re-homed data and the scheduler sees the shrunk
         // topology. Recovery (lineage recompute + replica re-homing) runs
-        // inside. Both engines share this path — the pipelined executor
-        // replays its virtual accounting through `exec_stage`, so its
-        // consumers are effectively parked while a lost producer's map
-        // outputs are recomputed here.
+        // inside. The host data plane already ran to completion, so in
+        // simulated terms the pipeline's consumers are parked while a lost
+        // producer's map outputs are recomputed here.
         if self.faults.is_some() {
             self.apply_due_faults(shuffles);
         }
-        let wide_cost = |wide: Rdd| self.graph.node(wide).cost_per_record;
-        // Replay mode: the pipelined executor already did this stage's
-        // data-plane work (compute + bucketize). This pass only replays the
-        // virtual-cluster side — fetch accounting, simulation, captures,
-        // metrics, trace — from the recorded `StageData`, in plan order, so
-        // every simulated quantity is bit-identical to the barrier engine.
-        let replay = pre.is_some();
 
-        // ---------------- Phase A: materialize inputs per task -----------
-        // Pre-gather per-task inputs (cheap Arc clones) so the parallel
-        // compute below owns everything it needs.
+        // ---------------- Phase A: per-task input accounting -------------
         let mut preps: Vec<TaskPrep> = Vec::with_capacity(num_tasks);
         let mut parents_gids: Vec<usize> = Vec::new();
         // Cached RDDs consumed by this stage, for lineage ref-counting.
         let mut cached_reads: Vec<Rdd> = Vec::new();
         // Adaptive hot-partition split, decided from the producer's
-        // map×partition byte table before any reduce work dispatches.
-        // Purely data-plane inputs: identical across engines, worker
-        // counts, and fault plans. `None` when `--adaptive off`, the stage
-        // is ineligible, or the column skew sits below the trigger.
+        // map×partition byte table — the same decision the pipelined
+        // executor made before any reduce work dispatched. Purely
+        // data-plane inputs: identical across worker counts and fault
+        // plans. `None` when `--adaptive off`, the stage is ineligible, or
+        // the column skew sits below the trigger.
         let mut split_plan: Option<crate::adaptive::SplitPlan> = None;
         // Producer task placements, kept for per-sub fetch construction.
         let mut producer_nodes: Vec<NodeId> = Vec::new();
         match &stage.root {
-            StageRoot::Source(rdd) => {
-                let node = self.graph.node(*rdd);
-                match &node.op {
-                    OpKind::SourceCollection { data, .. } => {
-                        let len = data.len();
-                        for i in 0..num_tasks {
-                            let start = i * len / num_tasks;
-                            let end = (i + 1) * len / num_tasks;
-                            preps.push(TaskPrep {
-                                input: RootInput::Slice(Arc::clone(data), start, end),
-                                fetches: Vec::new(),
-                                fetch_chunks: 0,
-                                local_read_bytes: 0,
-                                preferred: Vec::new(),
-                            });
-                        }
-                    }
-                    OpKind::SourceBlocks { file, gen, .. } => {
-                        let blocks = self.store.read_file(file).unwrap_or_default();
-                        let file_len: u64 = blocks.iter().map(|b| b.size).sum();
-                        let per_task = if num_tasks > 0 {
-                            file_len / num_tasks as u64
-                        } else {
-                            0
-                        };
-                        // Once a node is lost, prefer the deterministic
-                        // serving replica the block store selects over the
-                        // raw replica list (whose primary may be dead).
-                        let down: Option<Vec<bool>> = self
-                            .faults
-                            .as_ref()
-                            .filter(|f| f.counters.nodes_lost > 0)
-                            .map(|f| f.lost.clone());
-                        for i in 0..num_tasks {
-                            let bi = i * blocks.len().max(1) / num_tasks;
-                            let preferred = if blocks.is_empty() {
-                                Vec::new()
-                            } else if let Some(down) = &down {
-                                match self.store.select_replica(file, bi, down) {
-                                    Some(n) => vec![n],
-                                    None => Vec::new(),
-                                }
-                            } else {
-                                blocks[bi].replicas.clone()
-                            };
-                            preps.push(TaskPrep {
-                                input: RootInput::Gen(Arc::clone(gen), i, num_tasks),
-                                fetches: Vec::new(),
-                                fetch_chunks: 0,
-                                local_read_bytes: per_task,
-                                preferred,
-                            });
-                        }
-                    }
-                    other => unreachable!("source stage over {other:?}"),
+            StageRoot::Source(rdd) => match &self.graph.node(*rdd).op {
+                OpKind::SourceCollection { .. } => {
+                    preps.resize_with(num_tasks, TaskPrep::default);
                 }
-            }
+                OpKind::SourceBlocks { file, .. } => {
+                    let blocks = self.store.read_file(file).unwrap_or_default();
+                    let file_len: u64 = blocks.iter().map(|b| b.size).sum();
+                    let per_task = file_len / num_tasks as u64;
+                    // Once a node is lost, prefer the deterministic
+                    // serving replica the block store selects over the
+                    // raw replica list (whose primary may be dead).
+                    let down: Option<Vec<bool>> = self
+                        .faults
+                        .as_ref()
+                        .filter(|f| f.counters.nodes_lost > 0)
+                        .map(|f| f.lost.clone());
+                    for i in 0..num_tasks {
+                        let bi = i * blocks.len().max(1) / num_tasks;
+                        let preferred = if blocks.is_empty() {
+                            Vec::new()
+                        } else if let Some(down) = &down {
+                            match self.store.select_replica(file, bi, down) {
+                                Some(n) => vec![n],
+                                None => Vec::new(),
+                            }
+                        } else {
+                            blocks[bi].replicas.clone()
+                        };
+                        preps.push(TaskPrep {
+                            local_read_bytes: per_task,
+                            preferred,
+                            ..TaskPrep::default()
+                        });
+                    }
+                }
+                other => unreachable!("source stage over {other:?}"),
+            },
             StageRoot::CachedRead(rdd) => {
                 let mat = &self.materialized[rdd];
                 parents_gids.push(mat.producer_stage);
-                let spilled = mat.spilled;
                 for i in 0..num_tasks {
                     let bytes = batch_size(&mat.parts[i]);
-                    if spilled {
+                    preps.push(if mat.spilled {
                         // Bytes live in a spill file on the home node's
                         // disk: the read is local disk I/O (feeding the
                         // Fig. 14 transaction counters), not a memory-
                         // resident fetch.
-                        preps.push(TaskPrep {
-                            input: RootInput::Cached(Arc::clone(&mat.parts[i])),
-                            fetches: Vec::new(),
-                            fetch_chunks: 0,
+                        TaskPrep {
                             local_read_bytes: bytes,
                             preferred: vec![mat.homes[i]],
-                        });
+                            ..TaskPrep::default()
+                        }
                     } else {
-                        preps.push(TaskPrep {
-                            input: RootInput::Cached(Arc::clone(&mat.parts[i])),
+                        TaskPrep {
                             fetches: vec![(mat.homes[i], bytes)],
                             fetch_chunks: 1,
-                            local_read_bytes: 0,
                             preferred: vec![mat.homes[i]],
-                        });
-                    }
+                            ..TaskPrep::default()
+                        }
+                    });
                 }
                 cached_reads.push(*rdd);
             }
-            StageRoot::ShuffleRead { wide, shuffle } => {
+            StageRoot::ShuffleRead { shuffle, .. } => {
                 let data = shuffles[*shuffle]
                     .as_ref()
                     .expect("producer stage ran first");
                 parents_gids.push(data.producer_gid);
-                let merge = match &self.graph.node(*wide).op {
-                    OpKind::ReduceByKey { f, .. } => {
-                        MergeKind::Reduce(Arc::clone(f), wide_cost(*wide))
-                    }
-                    OpKind::GroupByKey { .. } => MergeKind::Group(wide_cost(*wide)),
-                    OpKind::Repartition { .. } => MergeKind::Concat,
-                    other => unreachable!("single-parent wide op expected, got {other:?}"),
-                };
                 if self.options.adaptive
                     && crate::adaptive::split_eligible(plan, &self.graph, plan_idx).is_some()
                 {
@@ -1205,50 +1136,19 @@ impl Context {
                         producer_nodes = data.nodes.clone();
                     }
                 }
-                let split_base_seed = crate::adaptive::split_seed(job_id, plan_idx);
                 for i in 0..num_tasks {
-                    let input = if replay {
-                        // Pipelined runs leave `buckets` empty: the exchange
-                        // consumed them. Fetch accounting only needs `bytes`.
-                        RootInput::Replay
-                    } else {
-                        RootInput::Shuffle {
-                            parts: data
-                                .buckets
-                                .iter()
-                                .map(|task_buckets| task_buckets[i].clone())
-                                .collect(),
-                            merge: merge.clone(),
-                            split: split_plan.as_ref().and_then(|sp| {
-                                (sp.subs[i] > 1).then_some(SplitDirective {
-                                    k: sp.subs[i],
-                                    seed: split_base_seed
-                                        ^ ((i as u64 + 1).wrapping_mul(0x9E3779B97F4A7C15)),
-                                })
-                            }),
-                        }
-                    };
-                    let fetches =
-                        aggregate_fetches(data.nodes.iter().zip(data.bytes.iter().map(|b| b[i])));
-                    let chunks = data.bytes.iter().filter(|b| b[i] > 0).count();
                     preps.push(TaskPrep {
-                        input,
-                        fetches,
-                        fetch_chunks: chunks,
-                        local_read_bytes: 0,
-                        preferred: Vec::new(),
+                        fetches: aggregate_fetches(
+                            data.nodes.iter().zip(data.bytes.iter().map(|b| b[i])),
+                        ),
+                        fetch_chunks: data.bytes.iter().filter(|b| b[i] > 0).count(),
+                        ..TaskPrep::default()
                     });
                 }
             }
-            StageRoot::JoinRead { wide, left, right } => {
-                let is_join = matches!(self.graph.node(*wide).op, OpKind::Join { .. });
-                let cost = wide_cost(*wide);
-                type SideParts = (
-                    Vec<Vec<Bucket>>,
-                    Vec<Vec<(NodeId, u64)>>,
-                    Vec<u64>,
-                    Vec<usize>,
-                );
+            StageRoot::JoinRead { left, right, .. } => {
+                // Per-task (fetches, local disk bytes, chunks) of one side.
+                type SideParts = (Vec<Vec<(NodeId, u64)>>, Vec<u64>, Vec<usize>);
                 let side = |dep: &SideDep,
                             parents_gids: &mut Vec<usize>,
                             cached_reads: &mut Vec<Rdd>|
@@ -1257,42 +1157,30 @@ impl Context {
                         SideDep::Shuffle(s) => {
                             let data = shuffles[*s].as_ref().expect("producer stage ran first");
                             parents_gids.push(data.producer_gid);
-                            let mut parts = Vec::with_capacity(num_tasks);
-                            let mut fetches = Vec::with_capacity(num_tasks);
-                            let mut chunks = Vec::with_capacity(num_tasks);
-                            for i in 0..num_tasks {
-                                if replay {
-                                    parts.push(Vec::new());
-                                } else {
-                                    parts.push(
-                                        data.buckets
-                                            .iter()
-                                            .map(|tb| tb[i].clone())
-                                            .collect::<Vec<_>>(),
-                                    );
-                                }
-                                fetches.push(aggregate_fetches(
-                                    data.nodes.iter().zip(data.bytes.iter().map(|b| b[i])),
-                                ));
-                                // One chunk per producer task with data for
-                                // us; a bucket is non-empty iff its byte
-                                // count is (every record encodes ≥ 2 bytes),
-                                // so this works without the bucket data.
-                                chunks.push(data.bytes.iter().filter(|b| b[i] > 0).count());
-                            }
-                            (parts, fetches, vec![0; num_tasks], chunks)
+                            let fetches = (0..num_tasks)
+                                .map(|i| {
+                                    aggregate_fetches(
+                                        data.nodes.iter().zip(data.bytes.iter().map(|b| b[i])),
+                                    )
+                                })
+                                .collect();
+                            // One chunk per producer task with data for us;
+                            // a bucket is non-empty iff its byte count is
+                            // (every record encodes ≥ 2 bytes).
+                            let chunks = (0..num_tasks)
+                                .map(|i| data.bytes.iter().filter(|b| b[i] > 0).count())
+                                .collect();
+                            (fetches, vec![0; num_tasks], chunks)
                         }
                         SideDep::Narrow(rdd) => {
                             let mat = &self.materialized[rdd];
                             parents_gids.push(mat.producer_stage);
                             cached_reads.push(*rdd);
-                            let mut parts = Vec::with_capacity(num_tasks);
                             let mut fetches = Vec::with_capacity(num_tasks);
                             let mut local = Vec::with_capacity(num_tasks);
                             let mut chunks = Vec::with_capacity(num_tasks);
                             for i in 0..num_tasks {
                                 let bytes = batch_size(&mat.parts[i]);
-                                parts.push(vec![Bucket::Rows(Arc::clone(&mat.parts[i]))]);
                                 chunks.push(usize::from(!mat.parts[i].is_empty()));
                                 if mat.spilled {
                                     // Spilled side: local disk reread.
@@ -1303,31 +1191,17 @@ impl Context {
                                     local.push(0);
                                 }
                             }
-                            (parts, fetches, local, chunks)
+                            (fetches, local, chunks)
                         }
                     }
                 };
-                let (lparts, lfetches, llocal, lchunks) =
-                    side(left, &mut parents_gids, &mut cached_reads);
-                let (rparts, rfetches, rlocal, rchunks) =
-                    side(right, &mut parents_gids, &mut cached_reads);
+                let (lfetches, llocal, lchunks) = side(left, &mut parents_gids, &mut cached_reads);
+                let (rfetches, rlocal, rchunks) = side(right, &mut parents_gids, &mut cached_reads);
                 for i in 0..num_tasks {
-                    let mut fetches = lfetches[i].clone();
-                    fetches.extend_from_slice(&rfetches[i]);
-                    let input = if replay {
-                        RootInput::Replay
-                    } else {
-                        RootInput::Join {
-                            left: lparts[i].clone(),
-                            right: rparts[i].clone(),
-                            is_join,
-                            cost,
-                        }
-                    };
+                    let fetches = lfetches[i].iter().chain(&rfetches[i]);
                     preps.push(TaskPrep {
-                        input,
                         fetch_chunks: lchunks[i] + rchunks[i],
-                        fetches: aggregate_fetches(fetches.iter().map(|(n, b)| (n, *b))),
+                        fetches: aggregate_fetches(fetches.map(|(n, b)| (n, *b))),
                         local_read_bytes: llocal[i] + rlocal[i],
                         preferred: Vec::new(),
                     });
@@ -1353,142 +1227,15 @@ impl Context {
             }
         }
 
-        // Root RDD caching and chain captures.
         let root_rdd = stage.root_rdd();
-        let capture_root = self.graph.node(root_rdd).cached
-            && !self.materialized.contains_key(&root_rdd)
-            && !matches!(stage.root, StageRoot::CachedRead(_));
-
-        // When this stage feeds a range-partitioned shuffle, each task
-        // reservoir-samples its own output during the map pass; the serial
-        // whole-output scan this replaces is gone.
-        let range_sample: Option<SampleSpec> = match stage.output {
-            StageOutput::ShuffleWrite(sidx)
-                if plan.shuffles[sidx].scheme.kind
-                    == crate::partitioner::PartitionerKind::Range =>
-            {
-                let spec = plan.shuffles[sidx].scheme;
-                Some(SampleSpec {
-                    cap: (20 * spec.partitions).div_ceil(num_tasks.max(1)).max(8),
-                    seed: (job_id as u64) << 32 | (plan_idx as u64) << 8 | 0xC0,
-                })
-            }
-            _ => None,
-        };
-
-        // Parallel real computation on the persistent pool. In replay mode
-        // the pipelined executor already produced every task's output; the
-        // recorded lengths/bytes stand in for the consumed shuffle buckets.
         let sink = self.options.trace.clone();
-        let graph = &self.graph;
-        let chain = stage.chain.clone();
-        let sample_spec = range_sample.as_ref();
-        let mut pre_lens: Option<Vec<u64>> = None;
-        let mut pre_bytes: Option<Vec<u64>> = None;
-        let mut pre_bucket_bytes: Option<Vec<Vec<u64>>> = None;
-        let mut pre_extra: Option<Vec<f64>> = None;
-        let wall_compute_start = sink.wall_now();
-        let outs: Vec<TaskOut> = match pre {
-            Some(sd) => {
-                pre_lens = Some(sd.out_lens);
-                pre_bytes = Some(sd.out_bytes);
-                pre_bucket_bytes = sd.bucket_bytes;
-                pre_extra = Some(sd.extra_cost);
-                sd.outs
-            }
-            None => self.pool.map_capped(preps.len(), self.lane_cap(), |i, _| {
-                compute_task(
-                    graph,
-                    &preps[i].input,
-                    &chain,
-                    i,
-                    capture_root,
-                    root_rdd,
-                    sample_spec,
-                )
-            }),
-        };
-        let wall_compute_end = sink.wall_now();
-
-        // ---------------- Phase B: shuffle write (if any) ----------------
-        let mut bucketed: Option<Vec<TaskBuckets>> = None;
-        let mut bucket_bytes: Option<Vec<Vec<u64>>> = None;
-        let mut extra_cost: Vec<f64> = vec![0.0; num_tasks];
-        let mut wall_bucketize: Option<(f64, f64)> = None;
-        if replay {
-            bucket_bytes = pre_bucket_bytes;
-            extra_cost = pre_extra.expect("replay stage data carries extra costs");
-        } else if let StageOutput::ShuffleWrite(sidx) = stage.output {
-            let spec = plan.shuffles[sidx].scheme;
-            let combine_fn: Option<ReduceFn> = if plan.shuffles[sidx].combine {
-                match &self.graph.node(plan.shuffles[sidx].for_wide).op {
-                    OpKind::ReduceByKey { f, .. } => Some(Arc::clone(f)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            let combine_cost = wide_cost(plan.shuffles[sidx].for_wide);
-
-            // Range partitioners need global bounds. Each map task already
-            // reservoir-sampled its own output during the compute pass; here
-            // we only concatenate the per-task samples in task order, so the
-            // bounds are independent of worker scheduling.
-            let seed = (job_id as u64) << 32 | (plan_idx as u64) << 8 | 0xC0;
-            let partitioner: Arc<dyn Partitioner> = match spec.kind {
-                crate::partitioner::PartitionerKind::Hash => {
-                    build_partitioner(spec, std::iter::empty(), seed)
-                }
-                crate::partitioner::PartitionerKind::Range => {
-                    let keys: Vec<Key> =
-                        outs.iter().flat_map(|o| o.sample.iter().cloned()).collect();
-                    build_partitioner(spec, keys.iter(), seed)
-                }
-            };
-            let is_range = spec.kind == crate::partitioner::PartitionerKind::Range;
-
-            let partitioner_ref = &*partitioner;
-            let combine_ref = combine_fn.as_ref();
-            let outs_ref = &outs;
-            let pool = &*self.pool;
-            // Columnar fast path: combine-free writes bucketize through a
-            // typed batch (vectorized assignment + stable gather + slice
-            // buckets). Per-task row fallback for non-columnar keys.
-            let use_batch = self.options.batch && combine_ref.is_none();
-            let lane_cap = self.lane_cap();
-            let wall_bucketize_start = sink.wall_now();
-            let results: Vec<(TaskBuckets, f64)> = pool.map_capped(num_tasks, lane_cap, |i, p| {
-                let mut arena = pool.arena(p);
-                let records = outs_ref[i].records.as_slice();
-                let (tb, combine_ops) = use_batch
-                    .then(|| {
-                        crate::shuffle::bucketize_columnar(records, partitioner_ref, &mut arena)
-                    })
-                    .flatten()
-                    .unwrap_or_else(|| {
-                        crate::shuffle::bucketize_in(
-                            records,
-                            partitioner_ref,
-                            combine_ref,
-                            &mut arena,
-                        )
-                    });
-                let n = records.len() as f64;
-                let mut cost = n * PARTITION_COST + combine_ops as f64 * combine_cost;
-                if is_range {
-                    cost += n * SAMPLE_COST;
-                }
-                (tb, cost)
-            });
-            wall_bucketize = Some((wall_bucketize_start, sink.wall_now()));
-            let mut tbs = Vec::with_capacity(num_tasks);
-            for (i, (tb, c)) in results.into_iter().enumerate() {
-                extra_cost[i] = c;
-                tbs.push(tb);
-            }
-            bucket_bytes = Some(tbs.iter().map(|tb| tb.bytes.clone()).collect());
-            bucketed = Some(tbs);
-        }
+        let crate::exchange::StageData {
+            outs,
+            out_lens,
+            out_bytes,
+            bucket_bytes,
+            extra_cost,
+        } = recorded;
 
         // ---------------- Build task specs & simulate --------------------
         let root_scheme = match &stage.root {
@@ -1532,8 +1279,7 @@ impl Context {
             let out = &outs[i];
             let mut write_bytes = bucket_bytes
                 .as_ref()
-                .map(|b| b[i].iter().sum::<u64>())
-                .unwrap_or(0);
+                .map_or(0, |b| b[i].iter().sum::<u64>());
             let mut local_read_bytes = prep.local_read_bytes;
             // Map-side combine overflow: a shuffle buffer larger than the
             // task's execution-memory share spills the overflow to disk
@@ -1546,10 +1292,6 @@ impl Context {
                     local_read_bytes += overflow;
                 }
             }
-            let out_bytes = pre_bytes
-                .as_ref()
-                .map(|v| v[i])
-                .unwrap_or_else(|| batch_size(out.records.as_slice()));
             let mut preferred = prep.preferred.clone();
             let mut pinned = None;
             // Split stages skip co-partition anchoring: their virtual task
@@ -1572,7 +1314,7 @@ impl Context {
                 fetches: prep.fetches.clone(),
                 fetch_chunks: prep.fetch_chunks,
                 write_bytes,
-                memory_bytes: out.input_bytes + out_bytes,
+                memory_bytes: out.input_bytes + out_bytes[i],
                 preferred_nodes: preferred,
                 pinned_node: pinned,
             };
@@ -1716,17 +1458,11 @@ impl Context {
         let shuffle_write_bytes;
         match stage.output {
             StageOutput::ShuffleWrite(sidx) => {
-                let bytes = bucket_bytes.take().expect("bucket bytes in phase B");
-                shuffle_write_bytes = bytes.iter().flatten().sum();
-                // Replayed stages published their buckets through the
-                // exchange, which consumed them; only byte accounting
+                // The exchange consumed the buckets; only byte accounting
                 // survives for downstream fetch simulation.
-                let buckets = match bucketed {
-                    Some(tbs) => tbs.into_iter().map(|tb| tb.buckets).collect(),
-                    None => Vec::new(),
-                };
+                let bytes = bucket_bytes.expect("shuffle-write stage records bucket bytes");
+                shuffle_write_bytes = bytes.iter().flatten().sum();
                 shuffles[sidx] = Some(ShuffleData {
-                    buckets,
                     bytes,
                     nodes: physical_nodes.clone(),
                     producer_gid: gid,
@@ -1808,14 +1544,8 @@ impl Context {
             num_tasks: specs.len(),
             input_records: outs.iter().map(|o| o.input_records).sum(),
             input_bytes: outs.iter().map(|o| o.input_bytes).sum(),
-            output_records: match &pre_lens {
-                Some(v) => v.iter().sum(),
-                None => outs.iter().map(|o| o.records.len() as u64).sum(),
-            },
-            output_bytes: match &pre_bytes {
-                Some(v) => v.iter().sum(),
-                None => outs.iter().map(|o| batch_size(o.records.as_slice())).sum(),
-            },
+            output_records: out_lens.iter().sum(),
+            output_bytes: out_bytes.iter().sum(),
             shuffle_read_bytes,
             shuffle_write_bytes,
             remote_read_bytes,
@@ -1887,35 +1617,6 @@ impl Context {
                 &format!("j{job_id}.s{gid}"),
                 gid,
             );
-            let phases = Track::new(pids::POOL, 1);
-            if !sink.has_thread_name(phases) {
-                sink.name_thread(phases, "driver phases");
-            }
-            // Replayed stages did their data-plane work in the pipelined
-            // executor, which emits its own wall overlap spans; a zero-width
-            // driver compute span here would only mislead.
-            if !replay {
-                sink.span(
-                    Clock::Wall,
-                    phases,
-                    format!("compute {label}"),
-                    "phase",
-                    wall_compute_start,
-                    wall_compute_end,
-                    vec![("tasks", num_tasks.into())],
-                );
-            }
-            if let Some((start, end)) = wall_bucketize {
-                sink.span(
-                    Clock::Wall,
-                    phases,
-                    format!("bucketize {label}"),
-                    "phase",
-                    start,
-                    end,
-                    vec![("tasks", num_tasks.into())],
-                );
-            }
         }
         (metrics, result_records)
     }
@@ -2430,36 +2131,18 @@ pub(crate) enum MergeKind {
     Concat,
 }
 
-/// Instruction to split one hot reduce partition into `k` sub-merges
-/// (see [`crate::adaptive`]). `seed` feeds the sub-bound reservoir.
-#[derive(Clone, Copy)]
-pub(crate) struct SplitDirective {
-    pub(crate) k: usize,
-    pub(crate) seed: u64,
-}
-
+/// A stage root whose input is fully available at job start: the roots
+/// [`compute_task`] materializes. Shuffle and join roots are merged
+/// incrementally from exchanges by the pipelined executor.
 pub(crate) enum RootInput {
     Slice(Arc<Vec<Record>>, usize, usize),
     Gen(GenFn, usize, usize),
     Cached(Arc<Vec<Record>>),
-    Shuffle {
-        parts: Vec<Bucket>,
-        merge: MergeKind,
-        split: Option<SplitDirective>,
-    },
-    Join {
-        left: Vec<Bucket>,
-        right: Vec<Bucket>,
-        is_join: bool,
-        cost: f64,
-    },
-    /// Placeholder used when replaying a stage whose data-plane work already
-    /// ran in the pipelined executor: the replay never computes records.
-    Replay,
 }
 
+/// One task's input accounting for the simulation.
+#[derive(Default)]
 struct TaskPrep {
-    input: RootInput,
     fetches: Vec<(NodeId, u64)>,
     fetch_chunks: usize,
     local_read_bytes: u64,
@@ -2605,7 +2288,8 @@ fn feed_ref(ops: &mut [OpState<'_>], rec: &Record, out: &mut Vec<Record>) {
     }
 }
 
-/// Materializes the root input, applies the narrow chain, and accounts cost.
+/// Materializes a source or cached root, applies the narrow chain, and
+/// accounts cost.
 ///
 /// The chain runs as fused streaming passes: one pass per segment, where a
 /// segment ends at (and includes) the next cached node, whose full output
@@ -2621,7 +2305,6 @@ pub(crate) fn compute_task(
     range_sample: Option<&SampleSpec>,
 ) -> TaskOut {
     let mut cost = 0.0;
-    let mut sub_stats: Option<Vec<crate::adaptive::SubTaskStats>> = None;
     let (records, input_records, input_bytes) = match input {
         RootInput::Slice(data, start, end) => {
             let slice = &data[*start..*end];
@@ -2642,104 +2325,6 @@ pub(crate) fn compute_task(
             let n = data.len() as u64;
             (TaskRecords::Shared(Arc::clone(data), 0, data.len()), n, b)
         }
-        RootInput::Shuffle {
-            parts,
-            merge,
-            split: Some(dir),
-        } => {
-            // Adaptive hot-partition split: materialize the incoming
-            // buckets in map order, route each record to one of `k`
-            // sub-buckets, and merge each sub independently. The routing
-            // is key-preserving, so aggregates match the unsplit merge;
-            // concatenation in sub order keeps the output deterministic.
-            let fetched: u64 = parts.iter().map(|p| p.len() as u64).sum();
-            let bytes: u64 = parts.iter().map(|p| p.encoded_bytes()).sum();
-            let maps: Vec<Vec<Record>> = parts.iter().map(Bucket::to_vec).collect();
-            let router = crate::adaptive::SubRouter::build(
-                maps.iter().flatten().map(|r| &r.key),
-                dir.k,
-                dir.seed,
-            );
-            let (records, merge_cost, stats) = crate::adaptive::merge_split(maps, merge, &router);
-            cost += merge_cost;
-            sub_stats = Some(stats);
-            (TaskRecords::Owned(records), fetched, bytes)
-        }
-        RootInput::Shuffle {
-            parts,
-            merge,
-            split: None,
-        } => {
-            // Buckets arrive as row vectors or columnar slices; byte
-            // accounting and merge results are identical either way
-            // (`encoded_bytes` equals `batch_size` of the materialized
-            // records by construction).
-            let fetched: u64 = parts.iter().map(|p| p.len() as u64).sum();
-            let bytes: u64 = parts.iter().map(|p| p.encoded_bytes()).sum();
-            cost += fetched as f64 * MERGE_BASE_COST;
-            let records = match merge {
-                MergeKind::Reduce(f, c) => {
-                    let mut m = ReduceMerge::new(Arc::clone(f));
-                    for p in parts {
-                        m.push_bucket(p);
-                    }
-                    let (out, ops) = m.finish();
-                    cost += ops as f64 * c;
-                    out
-                }
-                MergeKind::Group(c) => {
-                    cost += fetched as f64 * c;
-                    let mut m = GroupMerge::new();
-                    for p in parts {
-                        m.push_bucket(p);
-                    }
-                    m.finish()
-                }
-                MergeKind::Concat => {
-                    let mut m = ConcatMerge::new();
-                    for p in parts {
-                        m.push_bucket(p);
-                    }
-                    m.finish()
-                }
-            };
-            (TaskRecords::Owned(records), fetched, bytes)
-        }
-        RootInput::Join {
-            left,
-            right,
-            is_join,
-            cost: c,
-        } => {
-            let mut l: Vec<Record> = Vec::new();
-            for p in left {
-                p.extend_into(&mut l);
-            }
-            let mut r: Vec<Record> = Vec::new();
-            for p in right {
-                p.extend_into(&mut r);
-            }
-            let fetched = (l.len() + r.len()) as u64;
-            let bytes = batch_size(&l) + batch_size(&r);
-            cost += fetched as f64 * (MERGE_BASE_COST + c);
-            let records = if *is_join {
-                let mut m = JoinMerge::new();
-                m.push_left_owned(l);
-                m.seal_left();
-                m.push_right_owned(r);
-                let (out, probes) = m.finish();
-                cost += probes as f64 * MERGE_BASE_COST;
-                out
-            } else {
-                let mut m = CogroupMerge::new();
-                m.push_left_owned(l);
-                m.seal_left();
-                m.push_right_owned(r);
-                m.finish()
-            };
-            (TaskRecords::Owned(records), fetched, bytes)
-        }
-        RootInput::Replay => unreachable!("replayed stages never recompute records"),
     };
 
     let mut captures = Vec::new();
@@ -2747,7 +2332,7 @@ pub(crate) fn compute_task(
         captures.push((root_rdd, capture_arc(&records)));
     }
 
-    let mut out = run_chain_and_finish(
+    run_chain_and_finish(
         graph,
         chain,
         task_index,
@@ -2757,15 +2342,13 @@ pub(crate) fn compute_task(
         input_bytes,
         captures,
         range_sample,
-    );
-    out.sub_stats = sub_stats;
-    out
+    )
 }
 
 /// Runs the fused narrow chain over `records` and finishes the task:
 /// per-op cost accounting, cache captures, and range-shuffle sampling.
-/// Shared between the barrier path (`compute_task`) and the pipelined
-/// executor, whose roots are materialized incrementally from exchanges.
+/// Shared by [`compute_task`] and the pipelined executor's merge roots,
+/// which are materialized incrementally from exchanges.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_chain_and_finish(
     graph: &RddGraph,
@@ -3268,7 +2851,12 @@ mod tests {
     fn speculation_option_mitigates_a_degraded_node() {
         let run = |speculation: Option<f64>| {
             let mut opts = test_options();
-            opts.speculation = speculation;
+            // A plan that sets only a speculation multiplier injects no
+            // faults.
+            opts.faults = speculation.map(|m| FaultPlan {
+                speculation: Some(m),
+                ..FaultPlan::default()
+            });
             let mut ctx = Context::new(opts);
             ctx.inject_slowdown(0, 10.0);
             let data: Vec<Record> = (0..20_000)
@@ -3415,6 +3003,83 @@ mod tests {
         let out = ctx.collect(counts, "reuse");
         assert_eq!(out.len(), 10);
         assert_eq!(ctx.mem_counters().recomputes, 0, "cache hit, not rebuild");
+    }
+
+    #[test]
+    fn pin_floor_spills_a_cache_read_twice_in_one_governed_job() {
+        // One governed job reads the cached `base` from two map stages,
+        // both through its only child, so the first read uses up its
+        // lineage references. That stage's working set then evicts `base`
+        // before the second stage reads it. The pipelined data plane read
+        // both stages' inputs before the driver replays the eviction, so
+        // the pin floor must make it a spill: a drop would leave the
+        // second read without a materialization to account against.
+        let run = |workers: usize| {
+            let mut opts = test_options();
+            opts.workers = workers;
+            opts.executor_mem = Some(96 << 10);
+            let mut ctx = Context::new(opts);
+            let data: Vec<Record> = (0..4000)
+                .map(|i| Record::new(Key::Int(i % 500), Value::Int(i)))
+                .collect();
+            let src = ctx.parallelize(data, 4, "src");
+            let base = ctx.map(src, Arc::new(|r: &Record| r.clone()), 1e-7, "base");
+            ctx.cache(base);
+            ctx.count(base, "materialize");
+            let padding: Arc<str> = Arc::from("x".repeat(64));
+            let wide = ctx.map(
+                base,
+                Arc::new(move |r: &Record| Record::new(r.key.clone(), Value::Str(padding.clone()))),
+                1e-7,
+                "wide",
+            );
+            let first = ctx.distinct_by_key(wide, None, "first");
+            let counts = ctx.count_by_key(wide, None, "counts");
+            let joined = ctx.join(first, counts, None, 1e-6, "join");
+            let before = ctx.mem_counters();
+            let out = sorted(ctx.collect(joined, "two-reads"));
+            (out, before, ctx, base)
+        };
+        let (out, before, ctx, base) = run(1);
+        let job = ctx.jobs().last().unwrap();
+        let cached_stages = job
+            .stages
+            .iter()
+            .filter(|m| m.kind == StageKind::Cached)
+            .count();
+        assert_eq!(cached_stages, 2, "both map stages read the cache");
+        let after = ctx.mem_counters();
+        assert_eq!(
+            after.evictions - before.evictions,
+            1,
+            "the first read's working set evicts the cache"
+        );
+        assert_eq!(
+            after.rereads - before.rereads,
+            1,
+            "resident for the first read, spilled for the second"
+        );
+        assert!(ctx.evicted_once.is_empty(), "pinned input must never drop");
+        assert!(ctx.materialized[&base].spilled);
+        assert_eq!(out.len(), 500);
+        assert!(out.iter().all(|r| match &r.value {
+            Value::Pair(_, n) => n.as_int() == 8,
+            other => panic!("join row {other:?}"),
+        }));
+        for workers in [1, 8] {
+            let (o, _, c, _) = run(workers);
+            assert_eq!(o, out, "workers {workers}: output");
+            assert_eq!(
+                c.clock().to_bits(),
+                ctx.clock().to_bits(),
+                "workers {workers}: job time"
+            );
+            assert_eq!(
+                c.mem_counters(),
+                after,
+                "workers {workers}: memory decisions"
+            );
+        }
     }
 
     #[test]
@@ -3586,15 +3251,6 @@ mod tests {
         opts.executor_mem = Some(1 << 30);
         let err = opts.validate().unwrap_err();
         assert!(err.contains("--executor-mem"), "got: {err}");
-
-        let mut opts = test_options();
-        opts.faults = Some(FaultPlan {
-            speculation: Some(1.5),
-            ..FaultPlan::default()
-        });
-        opts.speculation = Some(2.0);
-        let err = opts.validate().unwrap_err();
-        assert!(err.contains("twice"), "got: {err}");
 
         let mut opts = test_options();
         opts.faults = Some(FaultPlan {

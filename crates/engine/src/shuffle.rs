@@ -57,16 +57,6 @@ impl Bucket {
         self.len() == 0
     }
 
-    /// Serialized size — `batch_size` of the rows for `Rows`, buffer-length
-    /// arithmetic for `Cols`. Both variants agree with `batch_size` of the
-    /// materialized records, so shuffle byte tables are path-independent.
-    pub fn encoded_bytes(&self) -> u64 {
-        match self {
-            Bucket::Rows(v) => batch_size(v),
-            Bucket::Cols(b) => b.encoded_size(),
-        }
-    }
-
     /// Materializes the bucket's records (cloned / reconstructed).
     pub fn to_vec(&self) -> Vec<Record> {
         match self {
@@ -246,8 +236,8 @@ pub fn bucketize_in(
 /// version on the same input — same bucket contents, same byte table, same
 /// combine-op count — only the allocation pattern differs. The pipelined
 /// executor uses this at shuffle-write task finish, where it owns the task
-/// output outright; the barrier engine keeps the borrowing version because
-/// it still needs the records for per-task byte accounting afterwards.
+/// output outright, and the borrowing version when the output is a window
+/// into a shared source or cache partition.
 pub fn bucketize_owned_in(
     records: Vec<Record>,
     partitioner: &dyn Partitioner,

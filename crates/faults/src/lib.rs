@@ -64,9 +64,10 @@ pub struct FaultPlan {
     pub node_loss: Vec<NodeLoss>,
     /// Slow-node events.
     pub stragglers: Vec<Straggler>,
-    /// Enable speculative re-execution with this straggler threshold
-    /// multiplier (> 1), as a plan-level alternative to the engine's
-    /// speculation option.
+    /// Enable Spark-style speculative re-execution with this straggler
+    /// threshold multiplier (> 1): tasks running longer than `m` × the
+    /// stage's median get a backup copy on another node. A plan that sets
+    /// only this field injects no faults.
     pub speculation: Option<f64>,
 }
 

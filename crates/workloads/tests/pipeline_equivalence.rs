@@ -1,21 +1,20 @@
-//! Pipelined shuffle must be a pure host-side optimization: for every
-//! paper workload, `--pipeline on` and `--pipeline off` must produce
-//! bit-identical simulated results — job/stage metrics, per-task virtual
-//! durations, and the virtual-clock slice of the Chrome trace — at any
-//! host worker count. Only wall-clock changes.
+//! The pipelined data plane's host parallelism must be invisible to the
+//! simulation: for every paper workload, one worker and eight workers
+//! must produce bit-identical simulated results — job/stage metrics,
+//! per-task virtual durations, and the virtual-clock slice of the Chrome
+//! trace. Only wall-clock changes.
 
 use chopper::Workload;
 use engine::{ClockFilter, Context, EngineOptions, JobMetrics, TraceSink, WorkloadConf};
 use simcluster::uniform_cluster;
 use workloads::{KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, Sql, SqlConfig};
 
-fn options(pipeline: bool, workers: usize) -> EngineOptions {
+fn options(workers: usize) -> EngineOptions {
     EngineOptions {
         cluster: uniform_cluster(3, 4, 2.0),
         default_parallelism: 8,
         workers,
         trace: TraceSink::enabled(),
-        pipeline,
         ..EngineOptions::default()
     }
 }
@@ -64,8 +63,8 @@ struct Observed {
     total_s_bits: u64,
 }
 
-fn observe(w: &dyn Workload, pipeline: bool, workers: usize) -> Observed {
-    let ctx: Context = w.run(&options(pipeline, workers), &WorkloadConf::new(), 1.0);
+fn observe(w: &dyn Workload, workers: usize) -> Observed {
+    let ctx: Context = w.run(&options(workers), &WorkloadConf::new(), 1.0);
     let summary = ctx.trace_summary();
     Observed {
         jobs: ctx.jobs().to_vec(),
@@ -74,63 +73,57 @@ fn observe(w: &dyn Workload, pipeline: bool, workers: usize) -> Observed {
             .trace_sink()
             .chrome_json_filtered(ClockFilter::VirtualOnly),
         // Pool counters are wall-clock diagnostics and legitimately differ
-        // between modes; stage rows are virtual-clock data and must not.
+        // between worker counts; stage rows are virtual-clock data and
+        // must not.
         summary_stages: format!("{:?}", summary.stages),
         total_s_bits: summary.total_s.to_bits(),
     }
 }
 
-fn assert_pipeline_equivalent(w: &dyn Workload) {
-    let reference = observe(w, false, 1);
+fn assert_workers_equivalent(w: &dyn Workload) {
+    let reference = observe(w, 1);
     assert!(
         !reference.virtual_trace.is_empty(),
         "{}: traced run produced no events",
         w.name()
     );
-    for workers in [1, 8] {
-        for pipeline in [false, true] {
-            if !pipeline && workers == 1 {
-                continue; // that's the reference itself
-            }
-            let what = format!("{}: pipeline {pipeline}, workers {workers}", w.name());
-            let got = observe(w, pipeline, workers);
-            assert_jobs_bit_identical(&reference.jobs, &got.jobs, &what);
-            assert_eq!(
-                reference.stages_debug, got.stages_debug,
-                "{what}: stage metrics diverged"
-            );
-            assert_eq!(
-                reference.virtual_trace, got.virtual_trace,
-                "{what}: virtual trace slice diverged"
-            );
-            assert_eq!(
-                reference.summary_stages, got.summary_stages,
-                "{what}: summary stage rows diverged"
-            );
-            assert_eq!(
-                reference.total_s_bits, got.total_s_bits,
-                "{what}: total virtual time diverged"
-            );
-        }
-    }
+    let what = format!("{}: workers 8", w.name());
+    let got = observe(w, 8);
+    assert_jobs_bit_identical(&reference.jobs, &got.jobs, &what);
+    assert_eq!(
+        reference.stages_debug, got.stages_debug,
+        "{what}: stage metrics diverged"
+    );
+    assert_eq!(
+        reference.virtual_trace, got.virtual_trace,
+        "{what}: virtual trace slice diverged"
+    );
+    assert_eq!(
+        reference.summary_stages, got.summary_stages,
+        "{what}: summary stage rows diverged"
+    );
+    assert_eq!(
+        reference.total_s_bits, got.total_s_bits,
+        "{what}: total virtual time diverged"
+    );
 }
 
 #[test]
-fn kmeans_pipelined_matches_barrier() {
-    assert_pipeline_equivalent(&KMeans::new(KMeansConfig::small()));
+fn kmeans_is_bit_identical_across_workers() {
+    assert_workers_equivalent(&KMeans::new(KMeansConfig::small()));
 }
 
 #[test]
-fn pca_pipelined_matches_barrier() {
-    assert_pipeline_equivalent(&Pca::new(PcaConfig::small()));
+fn pca_is_bit_identical_across_workers() {
+    assert_workers_equivalent(&Pca::new(PcaConfig::small()));
 }
 
 #[test]
-fn sql_pipelined_matches_barrier() {
-    assert_pipeline_equivalent(&Sql::new(SqlConfig::small()));
+fn sql_is_bit_identical_across_workers() {
+    assert_workers_equivalent(&Sql::new(SqlConfig::small()));
 }
 
 #[test]
-fn logreg_pipelined_matches_barrier() {
-    assert_pipeline_equivalent(&LogReg::new(LogRegConfig::small()));
+fn logreg_is_bit_identical_across_workers() {
+    assert_workers_equivalent(&LogReg::new(LogRegConfig::small()));
 }
