@@ -1,13 +1,12 @@
-//! Data-plane before/after benchmarks: the persistent work-stealing pool
-//! vs the seed's per-stage thread spawning, the fused zero-copy narrow
-//! chain vs op-at-a-time materialization, and the hash-once pre-sized
-//! bucketize vs the seed's re-hashing one. The "before" kernels live in
+//! Data-plane before/after benchmarks: the fused zero-copy narrow chain vs
+//! op-at-a-time materialization, and the hash-once pre-sized bucketize vs
+//! the seed's re-hashing one. The "before" kernels live in
 //! `bench::dataplane` and reimplement the replaced seed code verbatim.
 
-use bench::dataplane::{fused_chain, seed_bucketize, seed_chain, spawn_par_map, ChainOp};
+use bench::dataplane::{fused_chain, seed_bucketize, seed_chain, ChainOp};
 use criterion::{criterion_group, criterion_main, Criterion};
 use engine::shuffle::bucketize;
-use engine::{HashPartitioner, Key, Record, ReduceFn, Value, WorkerPool};
+use engine::{HashPartitioner, Key, Record, ReduceFn, Value};
 use std::sync::Arc;
 
 fn records(n: usize, keys: i64) -> Vec<Record> {
@@ -24,27 +23,6 @@ fn chain() -> Vec<ChainOp> {
         })),
         ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 2 == 0)),
     ]
-}
-
-fn pool_dispatch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dispatch");
-    let workers = 4;
-    let tasks = 256;
-    let work = |i: usize| -> u64 {
-        let mut acc = i as u64;
-        for _ in 0..2_000 {
-            acc = acc.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17);
-        }
-        acc
-    };
-    g.bench_function("spawn-par-map-256-tasks", |b| {
-        b.iter(|| spawn_par_map(workers, tasks, work))
-    });
-    let pool = WorkerPool::new(workers);
-    g.bench_function("worker-pool-256-tasks", |b| {
-        b.iter(|| pool.map(tasks, work))
-    });
-    g.finish();
 }
 
 fn narrow_chain(c: &mut Criterion) {
@@ -81,5 +59,5 @@ fn bucketize_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, pool_dispatch, narrow_chain, bucketize_kernels);
+criterion_group!(benches, narrow_chain, bucketize_kernels);
 criterion_main!(benches);

@@ -318,12 +318,6 @@ fn adaptive_gate() -> Vec<(String, bool)> {
 /// much end-to-end, regardless of what the committed baseline says.
 const PIPELINE_E2E_FLOOR: f64 = 1.3;
 
-/// Hard floors on the columnar data plane: the vectorized fused chain and
-/// the per-batch bucketize must beat their row-at-a-time counterparts by
-/// at least this much, regardless of what the committed baseline says.
-const COLUMNAR_FLOOR: f64 = 1.5;
-const COLUMNAR_FLOOR_KERNELS: [&str; 2] = ["columnar_fused_chain", "columnar_bucketize"];
-
 fn main() {
     let mut baseline_path = "results/BENCH_dataplane.json".to_string();
     let mut shuffle_baseline_path = "results/BENCH_shuffle_pipeline.json".to_string();
@@ -451,22 +445,6 @@ fn main() {
         if e2e_ok { "ok" } else { "REGRESSED" }
     );
     failed |= !e2e_ok;
-    // So do the columnar data-plane wins: the vectorized fused chain and
-    // the per-batch bucketize carry absolute 1.5x floors over the row path.
-    for name in COLUMNAR_FLOOR_KERNELS {
-        let got = fresh.kernel(name).map(|k| k.speedup);
-        let ok = matches!(got, Some(s) if s >= COLUMNAR_FLOOR);
-        println!(
-            "{:<36} {:>8.2}x {:>9} {:>8.2}x  {}",
-            format!("{name} (abs floor)"),
-            COLUMNAR_FLOOR,
-            got.map(|s| format!("{s:.2}x"))
-                .unwrap_or_else(|| "missing".to_string()),
-            COLUMNAR_FLOOR,
-            if ok { "ok" } else { "REGRESSED" }
-        );
-        failed |= !ok;
-    }
     eprintln!("[perfgate] serving the multi-tenant contention sweep (virtual clock)...");
     // One run suffices: every figure is virtual-clock deterministic.
     let jobserver_fresh = measure_jobserver();
@@ -504,7 +482,7 @@ fn main() {
         eprintln!(
             "perfgate: FAIL — a kernel or job-server figure regressed more than {:.0}% vs \
              {baseline_path} / {shuffle_baseline_path} / {jobserver_baseline_path}, or an \
-             absolute pipeline/columnar/job-server floor was missed",
+             absolute pipeline/job-server floor was missed",
             tolerance * 100.0
         );
         std::process::exit(1);

@@ -34,9 +34,9 @@
 //! tenant-count figure.
 //!
 //! `dataplane` additionally writes `results/BENCH_dataplane.json`: host
-//! wall-clock of the executor's before/after kernels (seed spawn dispatch
-//! vs persistent pool, op-at-a-time vs fused chain, seed vs hash-once
-//! bucketize) plus real-workload wall-clock across worker counts.
+//! wall-clock of the executor's before/after kernels (op-at-a-time vs
+//! fused chain, seed vs hash-once bucketize) plus real-workload wall-clock
+//! across worker counts.
 //!
 //! `shuffle_pipeline` writes `results/BENCH_shuffle_pipeline.json`: the
 //! end-to-end SQL-join workload with the push-based pipelined shuffle on
@@ -977,9 +977,8 @@ fn dataplane() -> String {
     }
     section(
         "Data plane — before/after host wall-clock (BENCH_dataplane.json)",
-        "Before = seed kernels (scoped spawn dispatch, deep-copy + op-at-a-time \
-         chains, re-hashing bucketize); after = persistent pool + fused \
-         zero-copy data plane. Timings are interleaved best-of-7 host \
+        "Before = seed kernels (deep-copy + op-at-a-time chains, re-hashing \
+         bucketize); after = the fused zero-copy data plane. Timings are interleaved best-of-7 host \
          milliseconds; per kernel, the most conservative of three runs is \
          committed so the one-sided CI gate never inherits an inflated floor.",
         t.render(),

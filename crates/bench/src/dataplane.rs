@@ -1,12 +1,12 @@
 //! Before/after kernels for the data-plane benchmarks.
 //!
-//! The executor rewrite replaced three seed-era kernels: per-stage scoped
-//! thread spawning with one mutex per result, deep-copied task inputs run
-//! through one materialized pass per narrow op, and a bucketize that
-//! re-hashed every key through `SipHash` twice. The "before" functions here
-//! reimplement those seed kernels verbatim so `cargo bench --bench
-//! data_plane` and `repro -- dataplane` can quantify the persistent-pool +
-//! zero-copy data plane against the code it replaced, on identical inputs.
+//! The executor rewrite replaced seed-era kernels: deep-copied task inputs
+//! run through one materialized pass per narrow op, a bucketize that
+//! re-hashed every key through `SipHash` twice, and reduce-side merges over
+//! on-demand tables. The "before" functions here reimplement those seed
+//! kernels verbatim so `cargo bench --bench data_plane` and
+//! `repro -- dataplane` can quantify the zero-copy data plane against the
+//! code it replaced, on identical inputs.
 
 use engine::shuffle::{bucketize_in, Bucket, ConcatMerge, JoinMerge, ReduceMerge, TaskBuckets};
 use engine::{
@@ -14,41 +14,7 @@ use engine::{
     PartitionerSpec, Record, ReduceFn, Value, WorkerPool,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// The seed's per-stage dispatch: fresh scoped threads per call, a shared
-/// `fetch_add` cursor with chunk size 1, and one mutex per result slot.
-pub fn spawn_par_map<U, F>(workers: usize, n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.max(1).min(n);
-    if workers == 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let out: Vec<Mutex<Option<U>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let v = f(i);
-                *out[i].lock().expect("result slot") = Some(v);
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| m.into_inner().expect("slot").expect("every index computed"))
-        .collect()
-}
+use std::sync::Arc;
 
 /// The seed's map-side bucketize: `partition()` re-hashes every key, the
 /// combine index re-hashes it a second time through `SipHash`, and buckets
@@ -91,10 +57,7 @@ pub fn seed_bucketize(
     let bytes = buckets.iter().map(|b| batch_size(b)).collect();
     (
         TaskBuckets {
-            buckets: buckets
-                .into_iter()
-                .map(|b| engine::shuffle::Bucket::Rows(Arc::new(b)))
-                .collect(),
+            buckets: buckets.into_iter().map(Arc::new).collect(),
             bytes,
         },
         combine_ops,
@@ -394,7 +357,7 @@ pub fn sql_join_barrier(workers: usize, rows: usize) -> Vec<Record> {
         let aggs = pool.map(SQL_JOIN_PARTS, |i| {
             let mut m = ReduceMerge::new(Arc::clone(&tables.merge));
             for b in column(&buckets, i) {
-                m.push_bucket(&b);
+                m.push_slice(&b);
             }
             m.finish().0
         });
@@ -405,10 +368,10 @@ pub fn sql_join_barrier(workers: usize, rows: usize) -> Vec<Record> {
     let joined = pool.map(SQL_JOIN_PARTS, |i| {
         let (mut l, mut r) = (Vec::new(), Vec::new());
         for b in column(&orders, i) {
-            b.extend_into(&mut l);
+            l.extend_from_slice(&b);
         }
         for b in column(&returns, i) {
-            b.extend_into(&mut r);
+            r.extend_from_slice(&b);
         }
         let mut m = JoinMerge::new();
         m.push_left_owned(l);
@@ -420,7 +383,7 @@ pub fn sql_join_barrier(workers: usize, rows: usize) -> Vec<Record> {
     let outs = pool.map(SQL_JOIN_PARTS, |i| {
         let mut m = ConcatMerge::new();
         for b in column(&balanced, i) {
-            m.push_bucket(&b);
+            m.push_slice(&b);
         }
         m.finish()
     });
@@ -473,53 +436,6 @@ mod tests {
                 assert_eq!(a, b);
             }
         }
-    }
-
-    #[test]
-    fn columnar_kernels_match_row_kernels() {
-        use engine::shuffle::{bucketize_columnar, bucketize_in, Bucket, TaskArena};
-        use engine::{concat_int_batches, run_int_chain, ColumnBatch, IntOp};
-
-        let input = data(2000);
-        // Vectorized fused chain vs the row streaming pass.
-        let batch = ColumnBatch::from_records(&input);
-        let int_ops = vec![
-            IntOp::Filter(Box::new(|v: i64| v % 3 != 0)),
-            IntOp::Map(Box::new(|v: i64| v * 2)),
-        ];
-        let row_ops = chain();
-        assert_eq!(
-            run_int_chain(&batch, &int_ops).unwrap().to_records(),
-            fused_chain(&input, &row_ops)
-        );
-
-        // Per-batch bucketize vs the row loop, buckets and byte tables.
-        let part = engine::HashPartitioner::new(16);
-        let mut arena_row = TaskArena::default();
-        let mut arena_col = TaskArena::default();
-        let (rb, row_ops_count) = bucketize_in(&input, &part, None, &mut arena_row);
-        let (cb, col_ops_count) = bucketize_columnar(&input, &part, &mut arena_col).unwrap();
-        assert_eq!(row_ops_count, col_ops_count);
-        assert_eq!(rb.bytes, cb.bytes);
-        assert_eq!(rb.buckets, cb.buckets);
-
-        // Slice-shipping concat vs cloning records out of row buckets.
-        let col_parts: Vec<ColumnBatch> = cb
-            .buckets
-            .iter()
-            .map(|b| match b {
-                Bucket::Cols(c) => c.clone(),
-                Bucket::Rows(_) => unreachable!("columnar bucketize emits batches"),
-            })
-            .collect();
-        let cloned: Vec<Record> = rb.buckets.iter().flat_map(|b| b.to_vec()).collect();
-        assert_eq!(concat_int_batches(&col_parts).unwrap().to_records(), cloned);
-    }
-
-    #[test]
-    fn spawn_par_map_covers_all_indices() {
-        let out = spawn_par_map(4, 100, |i| i * 3);
-        assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     fn sides(n: usize) -> (Vec<Record>, Vec<Record>) {

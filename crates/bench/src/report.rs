@@ -7,14 +7,11 @@
 //! more than the tolerance below the committed baseline's ratio fails.
 
 use crate::dataplane::{
-    fused_chain, seed_bucketize, seed_chain, seed_merge_cogroup, seed_merge_join, spawn_par_map,
-    sql_join_barrier, sql_join_workload, ChainOp,
+    fused_chain, seed_bucketize, seed_chain, seed_merge_cogroup, seed_merge_join, sql_join_barrier,
+    sql_join_workload, ChainOp,
 };
-use engine::shuffle::{bucketize, bucketize_columnar, bucketize_in, bucketize_owned_in, TaskArena};
-use engine::{
-    concat_int_batches, run_int_chain, ColumnBatch, EngineOptions, HashPartitioner, IntOp, Key,
-    Record, ReduceFn, Value, WorkerPool,
-};
+use engine::shuffle::{bucketize, bucketize_in, bucketize_owned_in, TaskArena};
+use engine::{EngineOptions, HashPartitioner, Key, Record, ReduceFn, Value};
 use serde::{Deserialize, Serialize};
 use workloads::{KMeans, KMeansConfig};
 
@@ -47,7 +44,7 @@ pub struct WorkloadWallclock {
 pub struct DataplaneReport {
     /// Always `"dataplane"`.
     pub experiment: String,
-    /// Worker count used for the dispatch kernel and the multi-lane run.
+    /// Worker count of the multi-lane run.
     pub workers: usize,
     /// Before/after kernel timings.
     pub kernels: Vec<KernelResult>,
@@ -191,7 +188,7 @@ pub fn time_pair_ms(mut before: impl FnMut() -> f64, mut after: impl FnMut() -> 
     (b, a)
 }
 
-/// Runs the full data-plane measurement: the four before/after kernels
+/// Runs the full data-plane measurement: the three before/after kernels
 /// plus the reduced-KMeans wall-clock at 1 and `workers` lanes.
 pub fn measure_dataplane() -> DataplaneReport {
     let workers = std::thread::available_parallelism()
@@ -199,30 +196,7 @@ pub fn measure_dataplane() -> DataplaneReport {
         .unwrap_or(4)
         .min(4);
 
-    // Kernel 1: dispatch of 256 compute-bound tasks.
-    let tasks = 256;
-    let work = |i: usize| -> u64 {
-        let mut acc = i as u64;
-        for _ in 0..20_000 {
-            acc = acc.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17);
-        }
-        acc
-    };
-    let pool = WorkerPool::new(workers);
-    let (dispatch_before, dispatch_after) = time_pair_ms(
-        || {
-            once_ms(|| {
-                std::hint::black_box(spawn_par_map(workers, tasks, work));
-            })
-        },
-        || {
-            once_ms(|| {
-                std::hint::black_box(pool.map(tasks, work));
-            })
-        },
-    );
-
-    // Kernel 2: narrow chain over 200k records (deep-copy + one pass per op
+    // Kernel 1: narrow chain over 200k records (deep-copy + one pass per op
     // vs borrowed fused single pass).
     let input: Vec<Record> = (0..200_000)
         .map(|i| Record::new(Key::Int(i % 1000), Value::Int(i)))
@@ -252,7 +226,7 @@ pub fn measure_dataplane() -> DataplaneReport {
         },
     );
 
-    // Kernel 3: shuffle-write bucketize, with and without map-side combine.
+    // Kernel 2: shuffle-write bucketize, with and without map-side combine.
     let part = HashPartitioner::new(300);
     let sum: ReduceFn =
         std::sync::Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
@@ -291,116 +265,6 @@ pub fn measure_dataplane() -> DataplaneReport {
         },
     );
 
-    // Kernel 5: vectorized fused int chain over a typed column batch vs the
-    // row streaming pass over the same records. The batch is built outside
-    // the timed window — in the engine it arrives prebuilt from the shuffle.
-    let batch = ColumnBatch::from_records(&input);
-    let int_ops = vec![
-        IntOp::Filter(Box::new(|v: i64| v % 5 != 0)),
-        IntOp::Map(Box::new(|v: i64| v.wrapping_mul(3) + 1)),
-        IntOp::Filter(Box::new(|v: i64| v % 2 == 0)),
-    ];
-    let row_ops = vec![
-        ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 5 != 0)),
-        ChainOp::Map(Box::new(|r: &Record| {
-            Record::new(
-                r.key.clone(),
-                Value::Int(r.value.as_int().wrapping_mul(3) + 1),
-            )
-        })),
-        ChainOp::Filter(Box::new(|r: &Record| r.value.as_int() % 2 == 0)),
-    ];
-    assert_eq!(
-        fused_chain(&input, &row_ops),
-        run_int_chain(&batch, &int_ops)
-            .expect("typed int batch")
-            .to_records()
-    );
-    let (vc_before, vc_after) = time_pair_ms(
-        || {
-            once_ms(|| {
-                for _ in 0..3 {
-                    std::hint::black_box(fused_chain(&input, &row_ops));
-                }
-            })
-        },
-        || {
-            once_ms(|| {
-                for _ in 0..3 {
-                    std::hint::black_box(run_int_chain(&batch, &int_ops));
-                }
-            })
-        },
-    );
-
-    // Kernel 6: per-batch bucketize — one vectorized pass over the key
-    // column plus a stable counting-sort gather, vs the row loop that
-    // hashes and clones record-at-a-time. Both sides start from the same
-    // `&[Record]` slice, as in the engine's shuffle write.
-    let mut arena_row = TaskArena::default();
-    let mut arena_col = TaskArena::default();
-    {
-        let (rb, _) = bucketize_in(&input, &part, None, &mut arena_row);
-        let (cb, _) = bucketize_columnar(&input, &part, &mut arena_col).expect("typed keys");
-        assert_eq!(rb.bytes, cb.bytes);
-        assert_eq!(rb.buckets, cb.buckets);
-    }
-    let (pb_before, pb_after) = time_pair_ms(
-        || {
-            once_ms(|| {
-                for _ in 0..3 {
-                    std::hint::black_box(bucketize_in(&input, &part, None, &mut arena_row));
-                }
-            })
-        },
-        || {
-            once_ms(|| {
-                for _ in 0..3 {
-                    std::hint::black_box(bucketize_columnar(&input, &part, &mut arena_col));
-                }
-            })
-        },
-    );
-
-    // Kernel 7: slice-shipping reduce-side concat — splicing the typed
-    // buffers of shuffled batch slices vs cloning every record out of row
-    // buckets. Inputs are the buckets the two kernel-6 paths produce.
-    let (row_tb, _) = bucketize_in(&input, &part, None, &mut arena_row);
-    let row_parts: Vec<Vec<Record>> = row_tb.buckets.iter().map(|b| b.to_vec()).collect();
-    let (col_tb, _) = bucketize_columnar(&input, &part, &mut arena_col).expect("typed keys");
-    let col_parts: Vec<ColumnBatch> = col_tb
-        .buckets
-        .iter()
-        .map(|b| match b {
-            engine::shuffle::Bucket::Cols(c) => c.clone(),
-            engine::shuffle::Bucket::Rows(_) => unreachable!("columnar bucketize emits batches"),
-        })
-        .collect();
-    let spliced = concat_int_batches(&col_parts).expect("int batches");
-    let cloned: Vec<Record> = row_parts.iter().flat_map(|p| p.iter().cloned()).collect();
-    assert_eq!(spliced.to_records(), cloned);
-    let (sm_before, sm_after) = time_pair_ms(
-        || {
-            once_ms(|| {
-                for _ in 0..3 {
-                    let mut out: Vec<Record> =
-                        Vec::with_capacity(row_parts.iter().map(Vec::len).sum());
-                    for p in &row_parts {
-                        out.extend_from_slice(p);
-                    }
-                    std::hint::black_box(out);
-                }
-            })
-        },
-        || {
-            once_ms(|| {
-                for _ in 0..3 {
-                    std::hint::black_box(concat_int_batches(&col_parts));
-                }
-            })
-        },
-    );
-
     // Real workload: end-to-end host wall-clock of a reduced KMeans run on
     // the persistent pool, single lane vs `workers` lanes.
     let mut cfg = KMeansConfig::paper();
@@ -429,7 +293,6 @@ pub fn measure_dataplane() -> DataplaneReport {
         experiment: "dataplane".to_string(),
         workers,
         kernels: vec![
-            kernel("dispatch_spawn_vs_pool", dispatch_before, dispatch_after),
             kernel(
                 "narrow_chain_materialized_vs_fused",
                 chain_before,
@@ -437,9 +300,6 @@ pub fn measure_dataplane() -> DataplaneReport {
             ),
             kernel("bucketize_no_combine", nb_before, nb_after),
             kernel("bucketize_combine", cb_before, cb_after),
-            kernel("columnar_fused_chain", vc_before, vc_after),
-            kernel("columnar_bucketize", pb_before, pb_after),
-            kernel("columnar_concat_merge", sm_before, sm_after),
         ],
         workload_wallclock: vec![
             WorkloadWallclock {

@@ -1,7 +1,8 @@
 //! Minimal dependency-free argument parsing for `chopper-cli`.
 //!
 //! Grammar: `chopper-cli <command> [--flag [value]]...`. Flags may appear
-//! in any order; unknown flags are errors (to catch typos early).
+//! in any order; a flag the command does not accept is an error (to catch
+//! typos and retired flags early).
 
 use std::collections::HashMap;
 
@@ -26,7 +27,62 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["copartition", "vanilla", "help", "gantt", "serial"];
+const BOOLEAN_FLAGS: &[&str] = &["copartition", "gantt", "serial"];
+
+/// Engine flags, read by every command that runs a workload.
+const ENGINE_FLAGS: &[&str] = &[
+    "partitions",
+    "copartition",
+    "executor-mem",
+    "adaptive",
+    "cluster",
+    "topology",
+    "fault-plan",
+    "fault-seed",
+];
+
+/// Test-grid flags of the commands that build an autotuner.
+const TUNER_FLAGS: &[&str] = &["scales", "test-partitions", "test-parallelism"];
+
+/// The flags `command` accepts, or `None` for an unknown command (which
+/// the caller reports).
+fn command_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
+    Some(match command {
+        "run" => &[&["workload", "conf", "scale", "gantt"], ENGINE_FLAGS],
+        "trace" => &[
+            &["workload", "conf", "scale", "clock", "out", "summary-out"],
+            ENGINE_FLAGS,
+        ],
+        "tune" | "plan" => &[&["workload", "db", "out-conf"], ENGINE_FLAGS, TUNER_FLAGS],
+        "compare" => &[&["workload"], ENGINE_FLAGS, TUNER_FLAGS],
+        "inspect" => &[&["db"]],
+        "conf" => &[&["file"]],
+        // `serve` names `--fault-plan`, `--fault-seed` and `--executor-mem`
+        // only to reject them with a message saying what to use instead.
+        "serve" => &[&[
+            "trace",
+            "policy",
+            "slots",
+            "queue-cap",
+            "mem-shared",
+            "mem-tenant",
+            "workers",
+            "partitions",
+            "serial",
+            "cluster",
+            "topology",
+            "results-out",
+            "tables-out",
+            "trace-out",
+            "fault-plan",
+            "fault-seed",
+            "executor-mem",
+        ]],
+        "loadgen" => &[&["out", "tenants", "jobs", "seed"]],
+        "help" => &[],
+        _ => return None,
+    })
+}
 
 impl Args {
     /// Parses raw arguments (without the binary name).
@@ -44,6 +100,7 @@ impl Args {
                 "expected a command, got flag {command}"
             )));
         }
+        let accepted = command_flags(&command);
         let mut flags = HashMap::new();
         while let Some(tok) = iter.next() {
             let Some(name) = tok.strip_prefix("--") else {
@@ -53,6 +110,9 @@ impl Args {
             };
             if name.is_empty() {
                 return Err(ParseError("empty flag name".into()));
+            }
+            if accepted.is_some_and(|groups| !groups.iter().any(|g| g.contains(&name))) {
+                return Err(ParseError(format!("unknown flag --{name} for `{command}`")));
             }
             let value = if BOOLEAN_FLAGS.contains(&name) {
                 "true".to_string()
@@ -150,6 +210,28 @@ mod tests {
     #[test]
     fn duplicate_flag_is_an_error() {
         assert!(parse(&["run", "--scale", "1", "--scale", "2"]).is_err());
+    }
+
+    #[test]
+    fn unknown_and_retired_flags_are_errors_naming_the_flag() {
+        for (tokens, flag) in [
+            (&["run", "--batch", "off"][..], "--batch"),
+            (&["run", "--pipeline", "off"], "--pipeline"),
+            (&["run", "--workload", "sql", "--sacle", "0.5"], "--sacle"),
+            (&["serve", "--batch", "on"], "--batch"),
+            (&["inspect", "--workload", "sql"], "--workload"),
+        ] {
+            let err = parse(tokens).unwrap_err();
+            assert!(err.0.contains(flag), "{tokens:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_command_accepts_its_own_flags() {
+        assert!(parse(&["tune", "--workload", "sql", "--test-partitions", "60,150"]).is_ok());
+        assert!(parse(&["compare", "--workload", "pca", "--executor-mem", "64m"]).is_ok());
+        assert!(parse(&["serve", "--trace", "t", "--serial", "--fault-plan", "p"]).is_ok());
+        assert!(parse(&["loadgen", "--out", "o", "--seed", "3"]).is_ok());
     }
 
     #[test]

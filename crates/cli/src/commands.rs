@@ -12,12 +12,12 @@ chopper-cli — CHOPPER auto-partitioning (CLUSTER 2016 reproduction)
 
 commands:
   run      --workload kmeans|pca|sql|logreg [--scale F] [--partitions N]
-           [--copartition] [--gantt] [--conf FILE] [--batch on|off]
-           [--adaptive on|off] [--cluster paper|uniform:N,C,GHz]
+           [--copartition] [--gantt] [--conf FILE] [--adaptive on|off]
+           [--cluster paper|uniform:N,C,GHz]
            [--topology flat|rack:RxH[:oversub]]
            [--executor-mem SIZE] [--fault-plan FILE] [--fault-seed N]
   tune     --workload W --db FILE [--out-conf FILE]
-           [--scales 0.1,0.3,0.6] [--partitions 60,150,300,600,1200]
+           [--scales 0.1,0.3,0.6] [--test-partitions 60,150,300,600,1200]
            [--test-parallelism N]
   plan     --workload W --db FILE [--out-conf FILE] [--partitions N]
   compare  --workload W [--partitions N] [--executor-mem SIZE]
@@ -29,11 +29,14 @@ commands:
   conf     --file FILE
   serve    --trace FILE [--policy fair|fifo] [--slots N] [--queue-cap N]
            [--mem-shared SIZE] [--mem-tenant SIZE] [--workers N]
-           [--partitions N] [--batch on|off] [--serial]
+           [--partitions N] [--serial]
            [--cluster paper|uniform:N,C,GHz] [--results-out FILE]
            [--tables-out FILE] [--trace-out FILE]
   loadgen  --out FILE [--tenants N] [--jobs N] [--seed N]
   help
+
+Each command accepts only the flags listed for it (tune, plan and
+compare also take run's engine flags); any other flag is an error.
 
 --topology shapes the simulated network: `flat` (default) is the
 historical non-blocking fabric; `rack:<racks>x<hosts>[:oversub]` groups
@@ -156,11 +159,6 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         None => None,
         Some(s) => Some(parse_mem_size(s)?),
     };
-    let batch = match args.get("batch") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("bad --batch '{other}' (expected on|off)")),
-    };
     let adaptive = match args.get("adaptive") {
         None | Some("on") => true,
         Some("off") => false,
@@ -184,7 +182,6 @@ fn engine_opts(args: &Args) -> Result<EngineOptions, String> {
         default_parallelism: args.num("partitions", 300).map_err(|e| e.to_string())?,
         copartition_scheduling: args.has("copartition"),
         executor_mem,
-        batch,
         adaptive,
         replan,
         faults: fault_plan(args)?,
@@ -524,11 +521,6 @@ fn serve_engine_opts(args: &Args) -> Result<EngineOptions, String> {
                 .into(),
         );
     }
-    let batch = match args.get("batch") {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("bad --batch '{other}' (expected on|off)")),
-    };
     let defaults = jobserver::server_engine_defaults();
     let opts = EngineOptions {
         cluster: cluster(args)?,
@@ -538,7 +530,6 @@ fn serve_engine_opts(args: &Args) -> Result<EngineOptions, String> {
         workers: args
             .num("workers", defaults.workers)
             .map_err(|e| e.to_string())?,
-        batch,
         ..defaults
     };
     opts.validate()?;
@@ -723,22 +714,6 @@ mod tests {
         let d = engine_opts(&args(&["run"])).unwrap();
         assert_eq!(d.default_parallelism, 300);
         assert!(!d.copartition_scheduling);
-    }
-
-    #[test]
-    fn batch_flag_parses_on_off() {
-        assert!(engine_opts(&args(&["run"])).unwrap().batch);
-        assert!(engine_opts(&args(&["run", "--batch", "on"])).unwrap().batch);
-        assert!(
-            !engine_opts(&args(&["run", "--batch", "off"]))
-                .unwrap()
-                .batch
-        );
-        let err = match engine_opts(&args(&["run", "--batch", "maybe"])) {
-            Err(e) => e,
-            Ok(_) => panic!("bad --batch value must be rejected"),
-        };
-        assert!(err.contains("--batch"));
     }
 
     #[test]
@@ -956,20 +931,10 @@ mod tests {
         let d = serve_engine_opts(&args(&["serve"])).unwrap();
         let defaults = jobserver::server_engine_defaults();
         assert_eq!(d.default_parallelism, defaults.default_parallelism);
-        assert!(d.batch);
-        let o = serve_engine_opts(&args(&[
-            "serve",
-            "--workers",
-            "2",
-            "--partitions",
-            "8",
-            "--batch",
-            "off",
-        ]))
-        .unwrap();
+        let o =
+            serve_engine_opts(&args(&["serve", "--workers", "2", "--partitions", "8"])).unwrap();
         assert_eq!(o.workers, 2);
         assert_eq!(o.default_parallelism, 8);
-        assert!(!o.batch);
     }
 
     #[test]

@@ -49,6 +49,32 @@ fn missing_required_flag_fails_cleanly() {
 }
 
 #[test]
+fn retired_and_misspelled_flags_fail_naming_the_flag() {
+    for (args, flag) in [
+        (
+            &["run", "--workload", "sql", "--batch", "off"][..],
+            "--batch",
+        ),
+        (
+            &["run", "--workload", "sql", "--pipeline", "off"],
+            "--pipeline",
+        ),
+        (
+            &["run", "--workload", "sql", "--partitons", "8"],
+            "--partitons",
+        ),
+    ] {
+        let out = bin().args(args).output().expect("runs");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("unknown flag {flag}")),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn run_prints_stage_table() {
     let out = run_ok(bin().args([
         "run",

@@ -35,13 +35,15 @@ use crate::exec::{
     SampleSpec, TaskOut, TaskRecords, MERGE_BASE_COST, PARTITION_COST, SAMPLE_COST,
 };
 use crate::ops::{GenFn, OpKind, ReduceFn};
-use crate::partitioner::{build_partitioner, Partitioner, PartitionerKind, PartitionerSpec};
+use crate::partitioner::{
+    build_partitioner, Partitioner, PartitionerKind, PartitionerSpec, RangePartitioner,
+};
 use crate::pool::WorkerPool;
 use crate::rdd::{Rdd, RddGraph};
 use crate::record::{batch_size, Key, Record};
 use crate::shuffle::{
-    bucketize_columnar, bucketize_in, bucketize_owned_in, Bucket, CogroupMerge, ConcatMerge,
-    GroupMerge, JoinMerge, ReduceMerge, TaskArena, TaskBuckets,
+    bucketize_in, bucketize_owned_in, Bucket, CogroupMerge, ConcatMerge, GroupMerge, JoinMerge,
+    ReduceMerge, TaskArena, TaskBuckets,
 };
 use crate::stage::{Plan, SideDep, StageOutput, StageRoot};
 use std::any::Any;
@@ -77,6 +79,9 @@ pub(crate) struct StageData {
     /// Per-task bucketize cost (partitioning + map-side combine + range
     /// sampling), charged on top of the task's compute cost.
     pub(crate) extra_cost: Vec<f64>,
+    /// The range bounds the stage's root output is cut by, when its root
+    /// is range-partitioned.
+    pub(crate) root_bounds: Option<Arc<[Key]>>,
 }
 
 /// Borrowed inputs for one pipelined job run.
@@ -89,9 +94,6 @@ pub(crate) struct PipelineInput<'a> {
     pub(crate) pool: &'a WorkerPool,
     pub(crate) job_id: usize,
     pub(crate) trace: &'a TraceSink,
-    /// Columnar data plane enabled (`EngineOptions::batch`): combine-free
-    /// shuffle writes publish batch slices instead of cloned row vectors.
-    pub(crate) batch: bool,
     /// Pool lanes this job's scheduler loop may occupy (the context's
     /// slot cap clamped to the pool width). Host-side concurrency only —
     /// the unit queue and virtual accounting are identical at any width.
@@ -125,8 +127,7 @@ struct Exchange {
 }
 
 struct ExInner {
-    /// `rows[map_task][reduce_partition]`, `None` until published. Buckets
-    /// are row vectors or columnar batch slices, per the producer's layout.
+    /// `rows[map_task][reduce_partition]`, `None` until published.
     rows: Vec<Option<Vec<Bucket>>>,
     /// Serialized bytes per published bucket, same shape.
     bytes: Vec<Option<Vec<u64>>>,
@@ -154,14 +155,11 @@ impl Exchange {
     }
 }
 
-/// A consumed bucket: row records owned outright when this exchange has a
-/// single consuming stage (the merge can move them), shared otherwise;
-/// columnar slices are always taken by `Arc`-bump clone (consuming one
-/// never copies data regardless of the consumer count).
+/// A consumed bucket: owned outright when this exchange has a single
+/// consuming stage (the merge can move the records), shared otherwise.
 enum Taken {
     Owned(Vec<Record>),
-    Shared(Arc<Vec<Record>>),
-    Cols(crate::batch::ColumnBatch),
+    Shared(Bucket),
 }
 
 impl Taken {
@@ -169,7 +167,6 @@ impl Taken {
         match self {
             Taken::Owned(v) => v.len(),
             Taken::Shared(a) => a.len(),
-            Taken::Cols(b) => b.len(),
         }
     }
 }
@@ -186,20 +183,15 @@ fn take_or_park(ex: &Exchange, m: usize, col: usize, uid: usize) -> Option<(Take
     }
     let bytes = inner.bytes[m].as_ref().expect("published")[col];
     let row = inner.rows[m].as_mut().expect("published");
-    let bucket = match &mut row[col] {
-        Bucket::Cols(b) => Taken::Cols(b.clone()),
-        Bucket::Rows(arc) => {
-            if ex.consumers > 1 {
-                Taken::Shared(Arc::clone(arc))
-            } else {
-                // Sole consumer: take the column and try to own it outright
-                // so the merge can move records instead of cloning them.
-                let arc = mem::replace(arc, Arc::clone(&ex.empty));
-                match Arc::try_unwrap(arc) {
-                    Ok(v) => Taken::Owned(v),
-                    Err(shared) => Taken::Shared(shared),
-                }
-            }
+    let bucket = if ex.consumers > 1 {
+        Taken::Shared(Arc::clone(&row[col]))
+    } else {
+        // Sole consumer: take the column and try to own it outright so the
+        // merge can move records instead of cloning them.
+        let arc = mem::replace(&mut row[col], Arc::clone(&ex.empty));
+        match Arc::try_unwrap(arc) {
+            Ok(v) => Taken::Owned(v),
+            Err(shared) => Taken::Shared(shared),
         }
     };
     Some((bucket, bytes))
@@ -251,11 +243,8 @@ enum OutputRecipe {
         ex: usize,
         combine: Option<ReduceFn>,
         combine_cost: f64,
-        is_range: bool,
-        spec: PartitionerSpec,
-        seed: u64,
-        /// Pre-set for hash shuffles; built at the range barrier otherwise.
-        partitioner: OnceLock<Arc<dyn Partitioner>>,
+        /// Index into the job's [`Cut`]s.
+        cut: usize,
     },
 }
 
@@ -269,15 +258,28 @@ struct StageRecipe {
     sample: Option<SampleSpec>,
 }
 
-/// Internal barrier for stages feeding a *range* shuffle: the partitioner
-/// needs every task's reservoir sample, so buckets are cut only after all
-/// of this stage's tasks have deposited their outputs. Pipelining still
-/// overlaps this stage's compute with upstream stages.
-struct RangeSync {
-    state: Mutex<RangeState>,
+/// The partitioner every shuffle into one wide RDD cuts by. A join's two
+/// sides share one, so equal keys meet in the same reduce task.
+///
+/// Hash partitioners, and range partitioners whose bounds a narrow join
+/// side fixes, exist up front. Any other range partitioner needs every
+/// producer task's reservoir sample, so its writes wait at a barrier until
+/// all tasks of all producer stages have deposited their outputs; the last
+/// depositor builds the bounds from the samples in shuffle order (a join's
+/// left side first), then task order, so they are independent of worker
+/// scheduling. Pipelining still overlaps the producers' compute with
+/// upstream stages.
+struct Cut {
+    spec: PartitionerSpec,
+    /// Seed of the sampled bounds: the first producer stage's.
+    seed: u64,
+    /// Producer stages, in shuffle order.
+    producers: Vec<usize>,
+    partitioner: OnceLock<Arc<dyn Partitioner>>,
+    barrier: Mutex<Barrier>,
 }
 
-struct RangeState {
+struct Barrier {
     deposited: usize,
     waiters: Vec<usize>,
 }
@@ -383,12 +385,11 @@ struct Runtime<'a> {
     exchanges: &'a [Exchange],
     units: &'a [Mutex<Unit>],
     slots: &'a [Vec<Mutex<TaskSlot>>],
-    range_sync: &'a [Option<RangeSync>],
+    cuts: &'a [Cut],
     spans: &'a [Mutex<Option<(f64, f64)>>],
     sched: &'a Sched,
     pool: &'a WorkerPool,
     sink: &'a TraceSink,
-    batch: bool,
 }
 
 /// Runs the whole job's data plane with push-based pipelining and returns
@@ -402,7 +403,6 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
         pool,
         job_id,
         trace: sink,
-        batch,
         lanes,
         adaptive,
     } = input;
@@ -430,6 +430,60 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
         .enumerate()
         .map(|(sidx, spec)| Exchange::new(num_tasks[spec.producer_stage], consumers[sidx]))
         .collect();
+
+    // One cut per wide RDD that reads shuffles: a join's sides share it.
+    let mut cuts: Vec<Cut> = Vec::new();
+    let mut cut_of_wide: HashMap<Rdd, usize> = HashMap::new();
+    let cut_of: Vec<usize> = plan
+        .shuffles
+        .iter()
+        .map(|spec| {
+            let c = *cut_of_wide.entry(spec.for_wide).or_insert_with(|| {
+                let seed = stage_seed(job_id, spec.producer_stage);
+                let partitioner = OnceLock::new();
+                if spec.scheme.kind == PartitionerKind::Hash {
+                    let _ =
+                        partitioner.set(build_partitioner(spec.scheme, std::iter::empty(), seed));
+                }
+                cuts.push(Cut {
+                    spec: spec.scheme,
+                    seed,
+                    producers: Vec::new(),
+                    partitioner,
+                    barrier: Mutex::new(Barrier {
+                        deposited: 0,
+                        waiters: Vec::new(),
+                    }),
+                });
+                cuts.len() - 1
+            });
+            cuts[c].producers.push(spec.producer_stage);
+            c
+        })
+        .collect();
+    // A shuffled side joining a narrow range side is cut by its bounds.
+    for stage in &plan.stages {
+        if let StageRoot::JoinRead { left, right, .. } = &stage.root {
+            if let (SideDep::Narrow(rdd), SideDep::Shuffle(s))
+            | (SideDep::Shuffle(s), SideDep::Narrow(rdd)) = (*left, *right)
+            {
+                let cut = &cuts[cut_of[s]];
+                if let Some(bounds) = &materialized[&rdd].bounds {
+                    let _ = cut.partitioner.set(Arc::new(RangePartitioner::from_bounds(
+                        bounds.to_vec(),
+                        cut.spec.partitions,
+                    )));
+                }
+            }
+        }
+    }
+    let bounds_of = |sidx: usize| -> Option<Arc<[Key]>> {
+        cuts[cut_of[sidx]]
+            .partitioner
+            .get()
+            .and_then(|p| p.range_bounds())
+            .map(Arc::from)
+    };
 
     let recipes: Vec<StageRecipe> = plan
         .stages
@@ -485,7 +539,6 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
             let output = match stage.output {
                 StageOutput::Result => OutputRecipe::Result,
                 StageOutput::ShuffleWrite(sidx) => {
-                    let spec = plan.shuffles[sidx].scheme;
                     let combine = if plan.shuffles[sidx].combine {
                         match &graph.node(plan.shuffles[sidx].for_wide).op {
                             OpKind::ReduceByKey { f, .. } => Some(Arc::clone(f)),
@@ -494,35 +547,25 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
                     } else {
                         None
                     };
-                    // Stage-level seed of the range partitioner and of
-                    // each task's reservoir sample.
-                    let seed = (job_id as u64) << 32 | (s as u64) << 8 | 0xC0;
-                    let is_range = spec.kind == PartitionerKind::Range;
-                    let partitioner = OnceLock::new();
-                    if !is_range {
-                        let _ = partitioner.set(build_partitioner(spec, std::iter::empty(), seed));
-                    }
                     OutputRecipe::Shuffle {
                         ex: sidx,
                         combine,
                         combine_cost: graph.node(plan.shuffles[sidx].for_wide).cost_per_record,
-                        is_range,
-                        spec,
-                        seed,
-                        partitioner,
+                        cut: cut_of[sidx],
                     }
                 }
             };
+            // Writes into a cut without a partitioner yet reservoir-sample
+            // their output, seeded per stage.
             let sample = match &output {
-                OutputRecipe::Shuffle {
-                    is_range: true,
-                    spec,
-                    seed,
-                    ..
-                } => Some(SampleSpec {
-                    cap: (20 * spec.partitions).div_ceil(tasks.max(1)).max(8),
-                    seed: *seed,
-                }),
+                OutputRecipe::Shuffle { cut, .. } if cuts[*cut].partitioner.get().is_none() => {
+                    Some(SampleSpec {
+                        cap: (20 * cuts[*cut].spec.partitions)
+                            .div_ceil(tasks.max(1))
+                            .max(8),
+                        seed: stage_seed(job_id, s),
+                    })
+                }
                 _ => None,
             };
             let root_rdd = stage.root_rdd();
@@ -542,19 +585,6 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
                 output,
                 sample,
             }
-        })
-        .collect();
-
-    let range_sync: Vec<Option<RangeSync>> = recipes
-        .iter()
-        .map(|r| match &r.output {
-            OutputRecipe::Shuffle { is_range: true, .. } => Some(RangeSync {
-                state: Mutex::new(RangeState {
-                    deposited: 0,
-                    waiters: Vec::new(),
-                }),
-            }),
-            _ => None,
         })
         .collect();
 
@@ -595,12 +625,11 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
         exchanges: &exchanges,
         units: &units,
         slots: &slots,
-        range_sync: &range_sync,
+        cuts: &cuts,
         spans: &spans,
         sched: &sched,
         pool,
         sink,
-        batch,
     };
     let rt_ref = &rt;
     let lanes = lanes.clamp(1, pool.workers());
@@ -666,12 +695,22 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
                 }
                 OutputRecipe::Result => None,
             };
+            let root_bounds = match &plan.stages[s].root {
+                StageRoot::Source(_) => None,
+                StageRoot::CachedRead(rdd) => materialized[rdd].bounds.clone(),
+                StageRoot::ShuffleRead { shuffle, .. } => bounds_of(*shuffle),
+                StageRoot::JoinRead { left, right, .. } => match (left, right) {
+                    (SideDep::Shuffle(sidx), _) | (_, SideDep::Shuffle(sidx)) => bounds_of(*sidx),
+                    (SideDep::Narrow(rdd), _) => materialized[rdd].bounds.clone(),
+                },
+            };
             StageData {
                 outs,
                 out_lens,
                 out_bytes,
                 bucket_bytes,
                 extra_cost,
+                root_bounds,
             }
         })
         .collect()
@@ -857,7 +896,6 @@ fn run_unit(rt: &Runtime<'_>, uid: usize, participant: usize) -> Progress {
                     maps_rows.push(match bucket {
                         Taken::Owned(v) => v,
                         Taken::Shared(a) => a.as_ref().clone(),
-                        Taken::Cols(cb) => cb.to_records(),
                     });
                 }
                 let seed = split_seed.expect("gated stage has a seed")
@@ -902,13 +940,10 @@ fn run_unit(rt: &Runtime<'_>, uid: usize, participant: usize) -> Progress {
                     match (&mut sp.acc, bucket) {
                         (MergeAcc::Reduce(m, _), Taken::Owned(v)) => m.push_owned(v),
                         (MergeAcc::Reduce(m, _), Taken::Shared(a)) => m.push_slice(&a),
-                        (MergeAcc::Reduce(m, _), Taken::Cols(b)) => m.push_batch(&b),
                         (MergeAcc::Group(m, _), Taken::Owned(v)) => m.push_owned(v),
                         (MergeAcc::Group(m, _), Taken::Shared(a)) => m.push_slice(&a),
-                        (MergeAcc::Group(m, _), Taken::Cols(b)) => m.push_batch(&b),
                         (MergeAcc::Concat(m), Taken::Owned(v)) => m.push_owned(v),
                         (MergeAcc::Concat(m), Taken::Shared(a)) => m.push_slice(&a),
-                        (MergeAcc::Concat(m), Taken::Cols(b)) => m.push_batch(&b),
                     }
                     sp.next += 1;
                 }
@@ -1043,14 +1078,10 @@ fn consume_side(
                     (JoinAcc::Join(m), Taken::Owned(v)) => m.push_right_owned(v),
                     (JoinAcc::Join(m), Taken::Shared(a)) if is_left => m.push_left_slice(&a),
                     (JoinAcc::Join(m), Taken::Shared(a)) => m.push_right_slice(&a),
-                    (JoinAcc::Join(m), Taken::Cols(b)) if is_left => m.push_left_batch(&b),
-                    (JoinAcc::Join(m), Taken::Cols(b)) => m.push_right_batch(&b),
                     (JoinAcc::Cogroup(m), Taken::Owned(v)) if is_left => m.push_left_owned(v),
                     (JoinAcc::Cogroup(m), Taken::Owned(v)) => m.push_right_owned(v),
                     (JoinAcc::Cogroup(m), Taken::Shared(a)) if is_left => m.push_left_slice(&a),
                     (JoinAcc::Cogroup(m), Taken::Shared(a)) => m.push_right_slice(&a),
-                    (JoinAcc::Cogroup(m), Taken::Cols(b)) if is_left => m.push_left_batch(&b),
-                    (JoinAcc::Cogroup(m), Taken::Cols(b)) => m.push_right_batch(&b),
                 }
                 *next += 1;
             }
@@ -1087,19 +1118,20 @@ fn finish_unit(
             ex,
             combine,
             combine_cost,
-            is_range: false,
-            partitioner,
-            ..
-        } => {
-            // Hash shuffle: bucketize inline and publish immediately.
-            let p = partitioner.get().expect("hash partitioner pre-built");
+            cut,
+        } if recipe.sample.is_none() => {
+            // The partitioner exists up front: bucketize inline and
+            // publish immediately.
+            let p = rt.cuts[*cut]
+                .partitioner
+                .get()
+                .expect("unsampled cut has its partitioner");
             let mut out = out;
             let (tb, extra) = {
                 let records = mem::replace(&mut out.records, TaskRecords::Owned(Vec::new()));
                 let n = records.len() as f64;
                 let mut arena = rt.pool.arena(participant);
-                let (tb, combine_ops) =
-                    bucketize_task(records, &**p, combine.as_ref(), rt.batch, &mut arena);
+                let (tb, combine_ops) = bucketize_task(records, &**p, combine.as_ref(), &mut arena);
                 (tb, n * PARTITION_COST + combine_ops as f64 * combine_cost)
             };
             let mut slot = lock(&rt.slots[s][task]);
@@ -1112,7 +1144,7 @@ fn finish_unit(
             complete(rt, unit);
             Progress::Done
         }
-        OutputRecipe::Shuffle { is_range: true, .. } => {
+        OutputRecipe::Shuffle { cut, .. } => {
             {
                 let mut slot = lock(&rt.slots[s][task]);
                 slot.out = Some(out);
@@ -1120,40 +1152,29 @@ fn finish_unit(
                 slot.out_bytes = out_bytes;
             }
             unit.state = UnitState::Bucketize;
-            let sync = rt.range_sync[s].as_ref().expect("range stage has sync");
-            let mut st = lock(&sync.state);
+            let cut = &rt.cuts[*cut];
+            let total: usize = cut.producers.iter().map(|&p| rt.recipes[p].tasks).sum();
+            let mut st = lock(&cut.barrier);
             st.deposited += 1;
-            if st.deposited < recipe.tasks {
+            if st.deposited < total {
                 st.waiters.push(uid);
                 return Progress::Parked;
             }
             // Last depositor: build the range partitioner from every
-            // task's reservoir sample, concatenated in task order, so the
-            // bounds are independent of worker scheduling.
+            // producer task's reservoir sample.
             let woken = mem::take(&mut st.waiters);
             drop(st);
-            let OutputRecipe::Shuffle {
-                spec,
-                seed,
-                partitioner,
-                ..
-            } = &recipe.output
-            else {
-                unreachable!()
-            };
             let mut keys: Vec<Key> = Vec::new();
-            for t in 0..recipe.tasks {
-                let slot = lock(&rt.slots[s][t]);
-                keys.extend(
-                    slot.out
-                        .as_ref()
-                        .expect("all tasks deposited")
-                        .sample
-                        .iter()
-                        .cloned(),
-                );
+            for &p in &cut.producers {
+                for cell in &rt.slots[p] {
+                    let slot = lock(cell);
+                    let out = slot.out.as_ref().expect("all tasks deposited");
+                    keys.extend(out.sample.iter().cloned());
+                }
             }
-            let _ = partitioner.set(build_partitioner(*spec, keys.iter(), *seed));
+            let _ = cut
+                .partitioner
+                .set(build_partitioner(cut.spec, keys.iter(), cut.seed));
             rt.sched.enqueue_many(woken);
             bucketize_from_slot(rt, unit, participant)
         }
@@ -1168,13 +1189,15 @@ fn bucketize_from_slot(rt: &Runtime<'_>, unit: &mut Unit, participant: usize) ->
         ex,
         combine,
         combine_cost,
-        partitioner,
-        ..
+        cut,
     } = &recipe.output
     else {
         unreachable!("bucketize state only for shuffle writes")
     };
-    let p = partitioner.get().expect("partitioner built at barrier");
+    let p = rt.cuts[*cut]
+        .partitioner
+        .get()
+        .expect("partitioner built at barrier");
     let records = {
         let mut slot = lock(&rt.slots[s][task]);
         let out = slot.out.as_mut().expect("deposited before barrier");
@@ -1183,8 +1206,7 @@ fn bucketize_from_slot(rt: &Runtime<'_>, unit: &mut Unit, participant: usize) ->
     let (tb, extra) = {
         let n = records.len() as f64;
         let mut arena = rt.pool.arena(participant);
-        let (tb, combine_ops) =
-            bucketize_task(records, &**p, combine.as_ref(), rt.batch, &mut arena);
+        let (tb, combine_ops) = bucketize_task(records, &**p, combine.as_ref(), &mut arena);
         (
             tb,
             n * PARTITION_COST + combine_ops as f64 * combine_cost + n * SAMPLE_COST,
@@ -1204,18 +1226,17 @@ fn bucketize_task(
     records: TaskRecords,
     partitioner: &dyn Partitioner,
     combine: Option<&ReduceFn>,
-    batch: bool,
     arena: &mut TaskArena,
 ) -> (TaskBuckets, u64) {
-    if batch && combine.is_none() {
-        if let Some(out) = bucketize_columnar(records.as_slice(), partitioner, arena) {
-            return out;
-        }
-    }
     match records {
         TaskRecords::Owned(v) => bucketize_owned_in(v, partitioner, combine, arena),
         shared => bucketize_in(shared.as_slice(), partitioner, combine, arena),
     }
+}
+
+/// Seed of a stage's range-partitioner sample.
+fn stage_seed(job_id: usize, stage: usize) -> u64 {
+    (job_id as u64) << 32 | (stage as u64) << 8 | 0xC0
 }
 
 /// Publishes one map task's buckets and wakes consumers if the available

@@ -86,14 +86,9 @@ pub struct EngineOptions {
     /// to the fault-free run. Mutually exclusive with `executor_mem` —
     /// see [`EngineOptions::validate`].
     pub faults: Option<FaultPlan>,
-    /// Columnar data plane (the default): combine-free shuffle writes
-    /// convert each task's output to a typed [`crate::batch::ColumnBatch`],
-    /// compute partition assignment with one pass over the key column,
-    /// and ship zero-copy batch slices through the shuffle instead of
-    /// cloned record vectors. Results, byte tables, and virtual-clock
-    /// timings are bit-identical either way — tasks whose keys don't fit
-    /// a typed column layout (and all map-side-combine shuffles) fall
-    /// back to the row path per task. `false` forces rows everywhere.
+    /// Ignored: every shuffle bucket is a row bucket. Kept only so struct
+    /// literals that still set it compile; it will be removed once no
+    /// caller names it.
     pub batch: bool,
     /// Host compute pool to share with other contexts. `None` (the
     /// default) builds a private pool of `workers` lanes. The job server
@@ -188,6 +183,8 @@ pub(crate) struct Materialized {
     pub(crate) parts: Vec<Arc<Vec<Record>>>,
     pub(crate) homes: Vec<NodeId>,
     pub(crate) partitioning: Option<PartitionerSpec>,
+    /// The range bounds the partitions were cut by, when range-partitioned.
+    pub(crate) bounds: Option<Arc<[Key]>>,
     pub(crate) producer_stage: usize,
     /// When true the partitions' bytes live in spill files on each home
     /// node's disk, not executor memory: reads charge local disk I/O
@@ -723,30 +720,6 @@ impl Context {
         &self.sim
     }
 
-    // ------------------------------------------------------------------
-    // Failure injection (paper Section VI future work: "how CHOPPER
-    // behaves under failures"). Effective from the next stage onward.
-    // ------------------------------------------------------------------
-
-    /// Persistently slows a node down (e.g. 2.0 = half speed) — a degraded
-    /// or contended executor.
-    pub fn inject_slowdown(&mut self, node: simcluster::NodeId, factor: f64) {
-        self.sim.set_slowdown(node, factor);
-    }
-
-    /// Fails a node: no further tasks are placed on it. Data already
-    /// materialized there remains fetchable (the executor is gone, the
-    /// block replicas are not), so running jobs complete — degraded, like
-    /// Spark recomputing/fetching around a lost executor.
-    pub fn inject_failure(&mut self, node: simcluster::NodeId) {
-        self.sim.fail_node(node);
-    }
-
-    /// Recovers a previously failed node.
-    pub fn recover(&mut self, node: simcluster::NodeId) {
-        self.sim.recover_node(node);
-    }
-
     /// The backing block store.
     pub fn store(&self) -> &Arc<BlockStore> {
         &self.store
@@ -795,6 +768,7 @@ impl Context {
                     MaterializedInfo {
                         partitions: m.parts.len(),
                         partitioning: m.partitioning,
+                        bounds: m.bounds.clone(),
                     },
                 )
             })
@@ -840,7 +814,6 @@ impl Context {
             pool: &self.pool,
             job_id,
             trace: &self.options.trace,
-            batch: self.options.batch,
             lanes: self.lane_cap().min(self.pool.workers()),
             adaptive: self.options.adaptive,
         });
@@ -1235,6 +1208,7 @@ impl Context {
             out_bytes,
             bucket_bytes,
             extra_cost,
+            root_bounds,
         } = recorded;
 
         // ---------------- Build task specs & simulate --------------------
@@ -1427,6 +1401,9 @@ impl Context {
             } else {
                 self.partitioning_at(root_part, &stage.chain, rdd)
             };
+            // A known partitioning is the root's, carried through
+            // partition-preserving ops, and so are its bounds.
+            let bounds = partitioning.and(root_bounds.clone());
             // The producing stage consumes the capture inline unless the
             // capture is the stage's final result — that consumption has
             // already burned one lineage reference.
@@ -1447,6 +1424,7 @@ impl Context {
                     parts,
                     homes: physical_nodes.clone(),
                     partitioning,
+                    bounds,
                     producer_stage: gid,
                     spilled,
                 },
@@ -2602,6 +2580,63 @@ mod tests {
         assert_eq!(ctx.jobs()[0].stages[2].kind, StageKind::Join);
     }
 
+    /// Left keys 0..2000 and right keys in 1000..1100 ∪ 1500..1600: each
+    /// side's sample alone yields different range bounds.
+    fn range_join_sides() -> (Vec<Record>, Vec<Record>) {
+        let rec = |i: i64| Record::new(Key::Int(i), Value::Int(i));
+        let left = (0..2000).map(rec).collect();
+        let right = (1000..1100).chain(1500..1600).map(rec).collect();
+        (left, right)
+    }
+
+    #[test]
+    fn range_join_cuts_both_sides_with_one_partitioner() {
+        let mut ctx = Context::new(EngineOptions {
+            adaptive: false,
+            ..test_options()
+        });
+        let (left, right) = range_join_sides();
+        let l = ctx.parallelize(left, 4, "l");
+        let r = ctx.parallelize(right, 4, "r");
+        let scheme = Some(PartitionerSpec::range(8));
+        let j = ctx.join(l, r, scheme, 1e-6, "j");
+        assert_eq!(ctx.collect(j, "join").len(), 200, "every right key matches");
+        let cg = ctx.co_group(l, r, scheme, 1e-6, "cg");
+        assert_eq!(ctx.collect(cg, "cogroup").len(), 2000, "one group per key");
+    }
+
+    #[test]
+    fn range_join_reshuffles_a_cached_side_cut_by_other_bounds() {
+        let mut ctx = Context::new(EngineOptions {
+            adaptive: false,
+            ..test_options()
+        });
+        let (left, right) = range_join_sides();
+        let scheme = Some(PartitionerSpec::range(8));
+        let l = ctx.parallelize(left, 4, "l");
+        let r = ctx.parallelize(right, 4, "r");
+        let rl = ctx.reduce_by_key(l, sum(), scheme, 1e-6, "rl");
+        let rr = ctx.reduce_by_key(r, sum(), scheme, 1e-6, "rr");
+        ctx.cache(rl);
+        ctx.cache(rr);
+        ctx.count(rl, "mat-l");
+        ctx.count(rr, "mat-r");
+        // One cached side: the shuffled side adopts its bounds.
+        let j = ctx.join(rl, r, scheme, 1e-6, "j");
+        assert_eq!(ctx.collect(j, "join").len(), 200);
+        let j = ctx.join(l, rr, scheme, 1e-6, "j");
+        assert_eq!(ctx.collect(j, "join").len(), 200);
+        // Both cached under the same scheme but different bounds: the
+        // right side is re-cut by the left's bounds.
+        let j = ctx.join(rl, rr, scheme, 1e-6, "j");
+        assert_eq!(ctx.collect(j, "join").len(), 200);
+        let cg = ctx.co_group(rl, rr, scheme, 1e-6, "cg");
+        assert_eq!(ctx.collect(cg, "cogroup").len(), 2000);
+        // A side joined with itself reads its one materialization twice.
+        let j = ctx.join(rl, rl, scheme, 1e-6, "j");
+        assert_eq!(ctx.collect(j, "join").len(), 2000);
+    }
+
     #[test]
     fn text_file_source_uses_spark_split_rule() {
         let mut ctx = Context::new(test_options());
@@ -2847,18 +2882,29 @@ mod tests {
         assert!(ctx.clock() > t1);
     }
 
+    /// A plan whose only fault is `node` running `factor`× slower from the
+    /// start.
+    fn slow_node(node: usize, factor: f64) -> FaultPlan {
+        FaultPlan {
+            stragglers: vec![Straggler {
+                node,
+                factor,
+                at: 0.0,
+            }],
+            ..FaultPlan::default()
+        }
+    }
+
     #[test]
     fn speculation_option_mitigates_a_degraded_node() {
         let run = |speculation: Option<f64>| {
-            let mut opts = test_options();
-            // A plan that sets only a speculation multiplier injects no
-            // faults.
-            opts.faults = speculation.map(|m| FaultPlan {
-                speculation: Some(m),
-                ..FaultPlan::default()
+            let mut ctx = Context::new(EngineOptions {
+                faults: Some(FaultPlan {
+                    speculation,
+                    ..slow_node(0, 10.0)
+                }),
+                ..test_options()
             });
-            let mut ctx = Context::new(opts);
-            ctx.inject_slowdown(0, 10.0);
             let data: Vec<Record> = (0..20_000)
                 .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
                 .collect();
@@ -2916,47 +2962,46 @@ mod tests {
     fn failed_node_is_avoided_and_results_stay_correct() {
         // Enough work per task that cluster capacity (not dispatch) binds:
         // 24 tasks of ~0.8 s on 12 cores (2 waves) vs 8 cores (3 waves).
-        let mut ctx = Context::new(test_options());
-        let data: Vec<Record> = (0..20_000)
-            .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
-            .collect();
-        let src = ctx.parallelize(data, 24, "src");
-        let work = |ctx: &mut Context| {
+        let run = |faults: Option<FaultPlan>| {
+            let mut ctx = Context::new(EngineOptions {
+                faults,
+                ..test_options()
+            });
+            let data: Vec<Record> = (0..20_000)
+                .map(|i| Record::new(Key::Int(i % 10), Value::Int(1)))
+                .collect();
+            let src = ctx.parallelize(data, 24, "src");
             let m = ctx.map(src, Arc::new(|r: &Record| r.clone()), 2e-3, "work");
-            ctx.reduce_by_key(m, sum(), None, 1e-6, "count")
+            let counts = ctx.reduce_by_key(m, sum(), None, 1e-6, "count");
+            let out = sorted(ctx.collect(counts, "count"));
+            (out, ctx.jobs().last().unwrap().duration())
         };
-        let counts = work(&mut ctx);
-        let healthy = sorted(ctx.collect(counts, "before"));
-        let t_healthy = ctx.jobs().last().unwrap().duration();
-
-        ctx.inject_failure(0);
-        let counts2 = work(&mut ctx);
-        let degraded = sorted(ctx.collect(counts2, "after"));
-        let t_degraded = ctx.jobs().last().unwrap().duration();
+        let (healthy, t_healthy) = run(None);
+        let (degraded, t_degraded) = run(Some(FaultPlan {
+            node_loss: vec![NodeLoss { node: 0, at: 0.0 }],
+            ..FaultPlan::default()
+        }));
         assert_eq!(healthy, degraded, "results unaffected by the failure");
         assert!(
             t_degraded > t_healthy * 1.2,
             "losing a third of the cluster must slow the job: {t_degraded} !> {t_healthy}"
         );
-
-        ctx.recover(0);
-        let counts3 = work(&mut ctx);
-        ctx.collect(counts3, "recovered");
-        let t_recovered = ctx.jobs().last().unwrap().duration();
-        assert!(t_recovered < t_degraded, "recovery restores capacity");
     }
 
     #[test]
     fn slowdown_injection_stretches_stage_times() {
-        let mut ctx = Context::new(test_options());
-        let src = ctx.parallelize(word_records(), 4, "src");
-        let m = ctx.map(src, Arc::new(|r: &Record| r.clone()), 5e-3, "work");
-        ctx.count(m, "baseline");
-        let baseline = ctx.jobs().last().unwrap().duration();
-        ctx.inject_slowdown(1, 8.0);
-        let m2 = ctx.map(src, Arc::new(|r: &Record| r.clone()), 5e-3, "work");
-        ctx.count(m2, "degraded");
-        let degraded = ctx.jobs().last().unwrap().duration();
+        let run = |faults: Option<FaultPlan>| {
+            let mut ctx = Context::new(EngineOptions {
+                faults,
+                ..test_options()
+            });
+            let src = ctx.parallelize(word_records(), 4, "src");
+            let m = ctx.map(src, Arc::new(|r: &Record| r.clone()), 5e-3, "work");
+            ctx.count(m, "work");
+            ctx.jobs().last().unwrap().duration()
+        };
+        let baseline = run(None);
+        let degraded = run(Some(slow_node(1, 8.0)));
         assert!(
             degraded > baseline,
             "a straggler node must show up in the makespan"

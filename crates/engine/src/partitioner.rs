@@ -12,7 +12,7 @@
 //! CHOPPER chooses between the two per stage by comparing fitted cost models
 //! (Algorithm 1).
 
-use crate::record::{int_key_hash, Key};
+use crate::record::Key;
 use numeric::Reservoir;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -88,14 +88,11 @@ pub trait Partitioner: Send + Sync {
     fn partition_hashed(&self, key: &Key, _hash: u64) -> usize {
         self.partition(key)
     }
-    /// Columnar fast path: appends the partition id of every `Key::Int`
-    /// in `keys` to `out` in one pass over the buffer, returning `true`.
-    /// Returns `false` (writing nothing) when this partitioner has no
-    /// vectorized integer path; the caller then falls back to per-key
-    /// [`Partitioner::partition`]. Implementations must be bit-identical
-    /// to the per-key path.
-    fn partition_int_keys(&self, _keys: &[i64], _out: &mut Vec<u32>) -> bool {
-        false
+    /// The range bounds this partitioner cuts by (`None` unless it is a
+    /// [`RangePartitioner`]). Two range partitioners with the same
+    /// partition count co-partition their data only if these are equal.
+    fn range_bounds(&self) -> Option<&[Key]> {
+        None
     }
     /// The family this partitioner belongs to.
     fn kind(&self) -> PartitionerKind;
@@ -128,11 +125,6 @@ impl Partitioner for HashPartitioner {
     fn partition_hashed(&self, _key: &Key, hash: u64) -> usize {
         (hash % self.partitions as u64) as usize
     }
-    fn partition_int_keys(&self, keys: &[i64], out: &mut Vec<u32>) -> bool {
-        let p = self.partitions as u64;
-        out.extend(keys.iter().map(|&k| (int_key_hash(k) % p) as u32));
-        true
-    }
     fn kind(&self) -> PartitionerKind {
         PartitionerKind::Hash
     }
@@ -146,21 +138,7 @@ impl Partitioner for HashPartitioner {
 #[derive(Debug, Clone)]
 pub struct RangePartitioner {
     bounds: Vec<Key>,
-    /// `bounds` as raw integers when every bound is `Key::Int` — the
-    /// columnar assignment kernel binary-searches this buffer directly.
-    int_bounds: Option<Vec<i64>>,
     partitions: usize,
-}
-
-/// Extracts the integer fast-path bounds (`Some` iff all bounds are ints).
-fn int_bounds_of(bounds: &[Key]) -> Option<Vec<i64>> {
-    bounds
-        .iter()
-        .map(|k| match k {
-            Key::Int(i) => Some(*i),
-            _ => None,
-        })
-        .collect()
 }
 
 impl RangePartitioner {
@@ -175,12 +153,7 @@ impl RangePartitioner {
             bounds.windows(2).all(|w| w[0] <= w[1]),
             "bounds must be sorted"
         );
-        let int_bounds = int_bounds_of(&bounds);
-        RangePartitioner {
-            bounds,
-            int_bounds,
-            partitions,
-        }
+        RangePartitioner { bounds, partitions }
     }
 
     /// Estimates bounds by reservoir-sampling `keys` — mirroring Spark's
@@ -214,12 +187,7 @@ impl RangePartitioner {
             }
             bounds
         };
-        let int_bounds = int_bounds_of(&bounds);
-        RangePartitioner {
-            bounds,
-            int_bounds,
-            partitions,
-        }
+        RangePartitioner { bounds, partitions }
     }
 
     /// The range bounds (`P - 1` or fewer keys).
@@ -239,18 +207,8 @@ impl Partitioner for RangePartitioner {
             Err(i) => i.min(self.partitions - 1),
         }
     }
-    fn partition_int_keys(&self, keys: &[i64], out: &mut Vec<u32>) -> bool {
-        // `Key::Int` ordering is `i64` ordering, so searching the raw
-        // integer bounds matches the enum binary search exactly.
-        let Some(bounds) = &self.int_bounds else {
-            return false;
-        };
-        let last = (self.partitions - 1) as u32;
-        out.extend(keys.iter().map(|k| match bounds.binary_search(k) {
-            Ok(i) => i as u32,
-            Err(i) => (i as u32).min(last),
-        }));
-        true
+    fn range_bounds(&self) -> Option<&[Key]> {
+        Some(&self.bounds)
     }
     fn kind(&self) -> PartitionerKind {
         PartitionerKind::Range

@@ -36,8 +36,8 @@ impl Key {
     }
 
     /// Streams this key's byte encoding into a caller-owned [`Fnv`], so
-    /// composite hashes (signatures, batch kernels) share one hasher
-    /// instead of re-implementing the encoding.
+    /// composite hashes (signatures) share one hasher instead of
+    /// re-implementing the encoding.
     pub fn feed(&self, h: &mut Fnv) {
         match self {
             Key::None => h.write_u8(0),
@@ -99,9 +99,9 @@ impl Value {
     /// variant spends 1 tag byte and each nested element re-counts its own
     /// tag, exactly as `Pair` counts its two children. Fixed-arity
     /// containers (`Pair`) carry no length word; variable-length ones do
-    /// (`Str` a u32, `Vector`/`List` a u64). The columnar batch layer
-    /// recomputes these sizes from buffer lengths, so any change here must
-    /// be mirrored there — the pinned regression test below is the oracle.
+    /// (`Str` a u32, `Vector`/`List` a u64). Shuffle byte tables and the
+    /// committed figures derive from these sizes — the pinned regression
+    /// test below is the oracle.
     pub fn encoded_size(&self) -> u64 {
         match self {
             Value::Null => 1,
@@ -187,10 +187,8 @@ pub fn batch_size(records: &[Record]) -> u64 {
 }
 
 /// Minimal FNV-1a hasher (deterministic across processes). This is *the*
-/// engine hasher: key hashing ([`Key::stable_hash`]), stage signatures
-/// ([`fnv1a`] + [`hash_combine`]), and the columnar key-hash kernels
-/// ([`int_key_hash`]) all run through it, so partition assignment is
-/// bit-identical no matter which layer computed the hash.
+/// engine hasher: key hashing ([`Key::stable_hash`]) and stage signatures
+/// ([`fnv1a`] + [`hash_combine`]) both run through it.
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
@@ -226,28 +224,6 @@ impl Default for Fnv {
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.write(bytes);
-    h.finish()
-}
-
-/// [`Key::stable_hash`] of `Key::Int(v)` computed straight from the
-/// integer — the columnar kernels hash a contiguous `i64` buffer without
-/// materializing a `Key` per row. Bit-identical to the enum path.
-#[inline]
-pub fn int_key_hash(v: i64) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u8(1);
-    h.write(&v.to_le_bytes());
-    h.finish()
-}
-
-/// [`Key::stable_hash`] of `Key::Str(s)` computed straight from the text —
-/// the dictionary-encoded key column hashes each dictionary entry once.
-/// Bit-identical to the enum path.
-#[inline]
-pub fn str_key_hash(s: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u8(2);
-    h.write(s.as_bytes());
     h.finish()
 }
 
@@ -306,8 +282,7 @@ mod tests {
         assert_eq!(r.encoded_size(), 2 + 9 + 9);
     }
 
-    /// Pins `encoded_size` for every variant: the columnar batch layer
-    /// recomputes these from buffer lengths, and shuffle byte tables (and
+    /// Pins `encoded_size` for every variant: shuffle byte tables (and
     /// the committed figures derived from them) depend on the exact
     /// numbers. Any change here is a data-format change, not a refactor.
     #[test]
@@ -344,16 +319,6 @@ mod tests {
         // Record: 2-byte header + tagged key + tagged value.
         let r = Record::new(Key::Int(1), list);
         assert_eq!(r.encoded_size(), 2 + 9 + 26);
-    }
-
-    #[test]
-    fn int_and_str_key_hash_kernels_match_enum_path() {
-        for v in [0i64, 1, -1, 42, i64::MIN, i64::MAX] {
-            assert_eq!(int_key_hash(v), Key::Int(v).stable_hash());
-        }
-        for s in ["", "a", "warehouse-17", "ünïcode"] {
-            assert_eq!(str_key_hash(s), Key::str(s).stable_hash());
-        }
     }
 
     #[test]

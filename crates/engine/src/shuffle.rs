@@ -24,70 +24,15 @@
 //! hasher, with same-hash slots disambiguated by a real key comparison —
 //! equality semantics identical to hashing the key itself.
 
-use crate::batch::ColumnBatch;
 use crate::ops::ReduceFn;
 use crate::partitioner::Partitioner;
 use crate::record::{batch_size, Key, Record, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One reduce-partition bucket of a map task's output: a plain record
-/// vector (the row path) or a zero-copy slice of the task's
-/// partition-ordered [`ColumnBatch`] (the `--batch on` path). Cloning
-/// either variant only bumps `Arc` refcounts.
-#[derive(Debug, Clone)]
-pub enum Bucket {
-    /// Row bucket, shared by reference.
-    Rows(Arc<Vec<Record>>),
-    /// Columnar bucket: a slice view into the producing task's batch.
-    Cols(ColumnBatch),
-}
-
-impl Bucket {
-    /// Record count.
-    pub fn len(&self) -> usize {
-        match self {
-            Bucket::Rows(v) => v.len(),
-            Bucket::Cols(b) => b.len(),
-        }
-    }
-
-    /// Whether the bucket holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materializes the bucket's records (cloned / reconstructed).
-    pub fn to_vec(&self) -> Vec<Record> {
-        match self {
-            Bucket::Rows(v) => v.as_ref().clone(),
-            Bucket::Cols(b) => b.to_records(),
-        }
-    }
-
-    /// Appends the bucket's records to `out`.
-    pub fn extend_into(&self, out: &mut Vec<Record>) {
-        match self {
-            Bucket::Rows(v) => out.extend_from_slice(v),
-            Bucket::Cols(b) => {
-                out.reserve(b.len());
-                b.for_each_record(|r| out.push(r));
-            }
-        }
-    }
-}
-
-/// Buckets compare by logical record content, independent of layout: a row
-/// bucket equals a columnar bucket holding the same records in the same
-/// order.
-impl PartialEq for Bucket {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Bucket::Rows(a), Bucket::Rows(b)) => a == b,
-            (a, b) => a.len() == b.len() && a.to_vec() == b.to_vec(),
-        }
-    }
-}
+/// One reduce-partition bucket of a map task's output, shared by
+/// reference: cloning a bucket only bumps its `Arc` refcount.
+pub type Bucket = Arc<Vec<Record>>;
 
 /// Map-side output of one task: one bucket per reduce partition.
 #[derive(Debug, Clone)]
@@ -221,10 +166,7 @@ pub fn bucketize_in(
     let bytes = buckets.iter().map(|b| batch_size(b)).collect();
     (
         TaskBuckets {
-            buckets: buckets
-                .into_iter()
-                .map(|b| Bucket::Rows(Arc::new(b)))
-                .collect(),
+            buckets: buckets.into_iter().map(Arc::new).collect(),
             bytes,
         },
         combine_ops,
@@ -297,49 +239,11 @@ pub fn bucketize_owned_in(
     let bytes = buckets.iter().map(|b| batch_size(b)).collect();
     (
         TaskBuckets {
-            buckets: buckets
-                .into_iter()
-                .map(|b| Bucket::Rows(Arc::new(b)))
-                .collect(),
+            buckets: buckets.into_iter().map(Arc::new).collect(),
             bytes,
         },
         combine_ops,
     )
-}
-
-/// Columnar bucketize for combine-free shuffle writes: converts the task
-/// output to a [`ColumnBatch`], computes partition assignment with one
-/// pass over the key column, reorders into partition-contiguous buffers
-/// with a stable counting sort, and returns each bucket as a zero-copy
-/// slice of the gathered batch. Byte tables come from buffer lengths.
-///
-/// Returns `None` when the keys or values do not fit a typed column
-/// layout (composite keys, mixed variants, boxed payloads) — the caller
-/// falls back to the row path, which for the pipelined engine means
-/// *moving* owned records into buckets instead of deep-cloning them into
-/// fallback row columns. When it succeeds, bucket contents, intra-bucket
-/// order, and byte tables are bit-identical to [`bucketize_in`] without
-/// combine.
-pub fn bucketize_columnar(
-    records: &[Record],
-    partitioner: &dyn Partitioner,
-    arena: &mut TaskArena,
-) -> Option<(TaskBuckets, u64)> {
-    let batch = ColumnBatch::from_records_typed(records)?;
-    let p = partitioner.num_partitions();
-    let assignment = &mut arena.assignment;
-    assignment.clear();
-    assignment.reserve(records.len());
-    batch.partition_assignment(partitioner, assignment);
-    let (gathered, offsets) = batch.gather(assignment, p);
-    let mut buckets = Vec::with_capacity(p);
-    let mut bytes = Vec::with_capacity(p);
-    for b in 0..p {
-        let slice = gathered.slice(offsets[b], offsets[b + 1] - offsets[b]);
-        bytes.push(slice.encoded_size());
-        buckets.push(Bucket::Cols(slice));
-    }
-    Some((TaskBuckets { buckets, bytes }, 0))
 }
 
 /// Map-side spill overflow: the bytes of a task's shuffle write that do
@@ -407,34 +311,6 @@ impl ReduceMerge {
                     out.push(r.clone());
                 }
             }
-        }
-    }
-
-    /// Fold a columnar bucket in; records are reconstructed row by row and
-    /// moved (no intermediate `Vec`).
-    pub fn push_batch(&mut self, batch: &ColumnBatch) {
-        let Self { f, out, index, ops } = self;
-        batch.for_each_record(|r| {
-            let h = r.key.stable_hash();
-            let slots = index.entry(h).or_default();
-            match slots.iter().find(|&&i| out[i as usize].key == r.key) {
-                Some(&i) => {
-                    out[i as usize].value = f(&out[i as usize].value, &r.value);
-                    *ops += 1;
-                }
-                None => {
-                    slots.push(out.len() as u32);
-                    out.push(r);
-                }
-            }
-        });
-    }
-
-    /// Fold a shipped bucket in, whichever layout it arrived in.
-    pub fn push_bucket(&mut self, bucket: &Bucket) {
-        match bucket {
-            Bucket::Rows(v) => self.push_slice(v),
-            Bucket::Cols(b) => self.push_batch(b),
         }
     }
 
@@ -513,34 +389,6 @@ impl GroupMerge {
         }
     }
 
-    /// Collect a columnar bucket; records are reconstructed and moved.
-    pub fn push_batch(&mut self, batch: &ColumnBatch) {
-        batch.for_each_record(|r| {
-            let h = r.key.stable_hash();
-            let slots = self.index.entry(h).or_default();
-            match slots
-                .iter()
-                .find(|&&i| self.order[i as usize] == r.key)
-                .copied()
-            {
-                Some(i) => self.groups[i as usize].push(r.value),
-                None => {
-                    slots.push(self.order.len() as u32);
-                    self.order.push(r.key);
-                    self.groups.push(vec![r.value]);
-                }
-            }
-        });
-    }
-
-    /// Collect a shipped bucket, whichever layout it arrived in.
-    pub fn push_bucket(&mut self, bucket: &Bucket) {
-        match bucket {
-            Bucket::Rows(v) => self.push_slice(v),
-            Bucket::Cols(b) => self.push_batch(b),
-        }
-    }
-
     /// One `Record(k, List(values))` per key, in first-seen key order.
     pub fn finish(self) -> Vec<Record> {
         self.order
@@ -589,20 +437,6 @@ impl ConcatMerge {
     /// Append a borrowed bucket; records are cloned.
     pub fn push_slice(&mut self, records: &[Record]) {
         self.out.extend_from_slice(records);
-    }
-
-    /// Append a columnar bucket; records are reconstructed in order.
-    pub fn push_batch(&mut self, batch: &ColumnBatch) {
-        self.out.reserve(batch.len());
-        batch.for_each_record(|r| self.out.push(r));
-    }
-
-    /// Append a shipped bucket, whichever layout it arrived in.
-    pub fn push_bucket(&mut self, bucket: &Bucket) {
-        match bucket {
-            Bucket::Rows(v) => self.push_slice(v),
-            Bucket::Cols(b) => self.push_batch(b),
-        }
     }
 
     /// Concatenated records in push order.
@@ -746,34 +580,6 @@ impl JoinMerge {
         }
         for r in records {
             self.probe_ref(r);
-        }
-    }
-
-    /// Build the table from a columnar left bucket.
-    pub fn push_left_batch(&mut self, batch: &ColumnBatch) {
-        debug_assert!(!self.sealed, "left side pushed after seal_left");
-        batch.for_each_record(|r| self.build(r.key, r.value));
-    }
-
-    /// Probe with a columnar right bucket (buffered if the left side is
-    /// not sealed yet).
-    pub fn push_right_batch(&mut self, batch: &ColumnBatch) {
-        if !self.sealed {
-            self.pending.reserve(batch.len());
-            batch.for_each_record(|r| self.pending.push(r));
-            return;
-        }
-        batch.for_each_record(|r| self.probe_owned(r));
-    }
-
-    /// Route a shipped bucket to the chosen side, whichever layout it
-    /// arrived in.
-    pub fn push_bucket(&mut self, bucket: &Bucket, is_left: bool) {
-        match (bucket, is_left) {
-            (Bucket::Rows(v), true) => self.push_left_slice(v),
-            (Bucket::Rows(v), false) => self.push_right_slice(v),
-            (Bucket::Cols(b), true) => self.push_left_batch(b),
-            (Bucket::Cols(b), false) => self.push_right_batch(b),
         }
     }
 
@@ -928,40 +734,6 @@ impl CogroupMerge {
         }
     }
 
-    /// Collect a columnar left bucket.
-    pub fn push_left_batch(&mut self, batch: &ColumnBatch) {
-        debug_assert!(!self.sealed, "left side pushed after seal_left");
-        batch.for_each_record(|r| {
-            let i = match self.slot(&r.key) {
-                Some(i) => i,
-                None => self.insert(r.key),
-            };
-            self.lefts[i].push(r.value);
-        });
-    }
-
-    /// Collect a columnar right bucket (buffered if the left side is not
-    /// sealed yet).
-    pub fn push_right_batch(&mut self, batch: &ColumnBatch) {
-        if !self.sealed {
-            self.pending.reserve(batch.len());
-            batch.for_each_record(|r| self.pending.push(r));
-            return;
-        }
-        batch.for_each_record(|r| self.right_record(r.key, r.value));
-    }
-
-    /// Route a shipped bucket to the chosen side, whichever layout it
-    /// arrived in.
-    pub fn push_bucket(&mut self, bucket: &Bucket, is_left: bool) {
-        match (bucket, is_left) {
-            (Bucket::Rows(v), true) => self.push_left_slice(v),
-            (Bucket::Rows(v), false) => self.push_right_slice(v),
-            (Bucket::Cols(b), true) => self.push_left_batch(b),
-            (Bucket::Cols(b), false) => self.push_right_batch(b),
-        }
-    }
-
     /// One `Record(k, Pair(List(lefts), List(rights)))` per key present on
     /// either side, in first-seen key order (left side first), pre-sized
     /// from the key count.
@@ -1017,7 +789,7 @@ mod tests {
         let total: usize = tb.buckets.iter().map(|b| b.len()).sum();
         assert_eq!(total, 100, "no records lost");
         for (i, b) in tb.buckets.iter().enumerate() {
-            for r in b.to_vec() {
+            for r in b.iter() {
                 assert_eq!(p.partition(&r.key), i);
             }
         }
@@ -1035,7 +807,7 @@ mod tests {
         assert_eq!(ops, 96);
         // Each combined value is the count of its key's occurrences.
         for b in &tb.buckets {
-            for r in b.to_vec() {
+            for r in b.iter() {
                 assert_eq!(r.value.as_int(), 25);
             }
         }
@@ -1231,79 +1003,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn columnar_bucketize_matches_row_path() {
-        use crate::partitioner::RangePartitioner;
-        let records: Vec<Record> = (0..500)
-            .map(|i| rec(i % 37 - 18, i))
-            .chain(std::iter::once(Record::new(Key::None, Value::Null)))
-            .collect();
-        let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
-        let hash = HashPartitioner::new(8);
-        let range = RangePartitioner::from_sample(keys.iter(), 8, 9);
-        for part in [&hash as &dyn Partitioner, &range] {
-            let (row, row_ops) = bucketize(&records, part, None);
-            let (col, col_ops) =
-                bucketize_columnar(&records, part, &mut TaskArena::default()).expect("int keys");
-            assert_eq!(col_ops, row_ops);
-            assert_eq!(col.bytes, row.bytes, "byte tables must be path-independent");
-            for (a, b) in col.buckets.iter().zip(&row.buckets) {
-                assert_eq!(a, b, "bucket contents and order must match");
-            }
-        }
-    }
-
-    #[test]
-    fn columnar_bucketize_bails_on_composite_keys() {
-        let records = vec![Record::new(
-            Key::Pair(Box::new(Key::Int(1)), Box::new(Key::Int(2))),
-            Value::Int(1),
-        )];
-        let p = HashPartitioner::new(4);
-        assert!(bucketize_columnar(&records, &p, &mut TaskArena::default()).is_none());
-    }
-
-    #[test]
-    fn merge_accumulators_consume_columnar_buckets_identically() {
-        let a: Vec<Record> = (0..60).map(|i| rec(i % 9, i)).collect();
-        let b: Vec<Record> = (0..60).map(|i| rec(i % 6, i * 2)).collect();
-        let batch_a = Bucket::Cols(ColumnBatch::from_records(&a));
-        let batch_b = Bucket::Cols(ColumnBatch::from_records(&b));
-
-        let (row_out, row_ops) = merge_reduce([a.as_slice(), b.as_slice()], &sum());
-        let mut m = ReduceMerge::new(sum());
-        m.push_bucket(&batch_a);
-        m.push_bucket(&batch_b);
-        let (col_out, col_ops) = m.finish();
-        assert_eq!(col_out, row_out);
-        assert_eq!(col_ops, row_ops);
-
-        let mut g = GroupMerge::new();
-        g.push_bucket(&batch_a);
-        g.push_bucket(&batch_b);
-        assert_eq!(g.finish(), merge_group([a.as_slice(), b.as_slice()]));
-
-        let mut c = ConcatMerge::new();
-        c.push_bucket(&batch_a);
-        c.push_bucket(&batch_b);
-        assert_eq!(c.finish(), merge_concat([a.as_slice(), b.as_slice()]));
-
-        let (row_join, row_probes) = merge_join(&a, &b);
-        let mut j = JoinMerge::new();
-        j.push_bucket(&batch_b, false); // buffered pre-seal
-        j.push_bucket(&batch_a, true);
-        j.seal_left();
-        let (col_join, col_probes) = j.finish();
-        assert_eq!(col_join, row_join);
-        assert_eq!(col_probes, row_probes);
-
-        let mut cg = CogroupMerge::new();
-        cg.push_bucket(&batch_a, true);
-        cg.seal_left();
-        cg.push_bucket(&batch_b, false);
-        assert_eq!(cg.finish(), merge_cogroup(&a, &b));
     }
 
     #[test]

@@ -11,13 +11,18 @@
 //! materialized (cached) under the join's scheme becomes a *narrow* side —
 //! partition `i` is fetched directly from wherever it lives instead of
 //! being re-shuffled. This is the dependency structure CHOPPER's
-//! co-partition-aware scheduling exploits (Section III-C).
+//! co-partition-aware scheduling exploits (Section III-C). Range data is
+//! co-partitioned only when it was cut by the same bounds: two cached
+//! sides with different bounds re-shuffle the right one, and a shuffled
+//! side joining a narrow one is cut by the narrow side's bounds.
 
 use crate::config::WorkloadConf;
 use crate::ops::OpKind;
 use crate::partitioner::PartitionerSpec;
 use crate::rdd::{Rdd, RddGraph};
+use crate::record::Key;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// How a join side gets its data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,12 +105,14 @@ impl PlanStage {
 }
 
 /// Information the planner needs about already-materialized (cached) RDDs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaterializedInfo {
     /// Number of materialized partitions.
     pub partitions: usize,
     /// Partitioning under which the data was materialized, if known.
     pub partitioning: Option<PartitionerSpec>,
+    /// The range bounds the data was cut by, when range-partitioned.
+    pub bounds: Option<Arc<[Key]>>,
 }
 
 /// An executable job plan.
@@ -221,8 +228,8 @@ impl<'a> Planner<'a> {
                     let scheme = self.resolve_scheme(cur);
                     let parents = node.parents.clone();
                     assert_eq!(parents.len(), 2, "join/co-group takes two parents");
-                    let left = self.side_dep(parents[0], cur, scheme);
-                    let right = self.side_dep(parents[1], cur, scheme);
+                    let left = self.side_dep(parents[0], cur, scheme, None);
+                    let right = self.side_dep(parents[1], cur, scheme, Some(left));
                     break StageRoot::JoinRead {
                         wide: cur,
                         left,
@@ -246,11 +253,23 @@ impl<'a> Planner<'a> {
     }
 
     /// Plans how one side of a join arrives: narrow when the parent is
-    /// already materialized under the join's scheme, otherwise via a new
-    /// shuffle.
-    fn side_dep(&mut self, parent: Rdd, wide: Rdd, scheme: PartitionerSpec) -> SideDep {
+    /// already materialized under the join's scheme and cut by the join's
+    /// bounds, otherwise via a new shuffle. The join's bounds are those of
+    /// the `other` (left) side when it is narrow; otherwise this side's
+    /// own, which the shuffled side then adopts.
+    fn side_dep(
+        &mut self,
+        parent: Rdd,
+        wide: Rdd,
+        scheme: PartitionerSpec,
+        other: Option<SideDep>,
+    ) -> SideDep {
         if let Some(info) = self.materialized.get(&parent) {
-            if info.partitioning == Some(scheme) {
+            let same_bounds = match other {
+                Some(SideDep::Narrow(o)) => self.materialized[&o].bounds == info.bounds,
+                _ => true,
+            };
+            if info.partitioning == Some(scheme) && same_bounds {
                 return SideDep::Narrow(parent);
             }
         }
@@ -417,6 +436,7 @@ mod tests {
             MaterializedInfo {
                 partitions: 4,
                 partitioning: Some(PartitionerSpec::hash(4)),
+                bounds: None,
             },
         );
         let plan = plan_job(&g, j, &WorkloadConf::new(), 4, &mat);
@@ -449,6 +469,7 @@ mod tests {
             MaterializedInfo {
                 partitions: 9,
                 partitioning: Some(PartitionerSpec::hash(9)),
+                bounds: None,
             },
         );
         let plan = plan_job(&g, j, &WorkloadConf::new(), 4, &mat);
@@ -464,6 +485,37 @@ mod tests {
     }
 
     #[test]
+    fn cached_range_sides_are_narrow_only_under_equal_bounds() {
+        let mut g = RddGraph::new();
+        let a = g.parallelize(records(8), 2, "a");
+        let b = g.parallelize(records(8), 2, "b");
+        let scheme = PartitionerSpec::range(4);
+        let j = g.join(a, b, Some(scheme), 1.0, "j");
+        let info = |bound: i64| MaterializedInfo {
+            partitions: 4,
+            partitioning: Some(scheme),
+            bounds: Some(Arc::from(vec![Key::Int(bound)])),
+        };
+        let sides = |right_bound: i64| {
+            let mat = HashMap::from([(a, info(1)), (b, info(right_bound))]);
+            match plan_job(&g, j, &WorkloadConf::new(), 4, &mat).stages.last() {
+                Some(PlanStage {
+                    root: StageRoot::JoinRead { left, right, .. },
+                    ..
+                }) => (*left, *right),
+                other => panic!("expected JoinRead, got {other:?}"),
+            }
+        };
+        assert_eq!(sides(1), (SideDep::Narrow(a), SideDep::Narrow(b)));
+        let (left, right) = sides(2);
+        assert_eq!(left, SideDep::Narrow(a));
+        assert!(
+            matches!(right, SideDep::Shuffle(_)),
+            "bounds differ: the right side is re-cut by the left's"
+        );
+    }
+
+    #[test]
     fn cached_mid_chain_rdd_truncates_lineage() {
         let mut g = RddGraph::new();
         let src = g.parallelize(records(8), 2, "src");
@@ -476,6 +528,7 @@ mod tests {
             MaterializedInfo {
                 partitions: 2,
                 partitioning: None,
+                bounds: None,
             },
         );
         let plan = plan_job(&g, f, &WorkloadConf::new(), 4, &mat);

@@ -2,8 +2,8 @@
 
 use engine::shuffle::{bucketize, merge_concat, merge_group, merge_join, merge_reduce};
 use engine::{
-    build_partitioner, measure_skew, ColumnBatch, HashPartitioner, Key, Partitioner,
-    PartitionerSpec, RangePartitioner, Record, ReduceFn, Value, WorkloadConf,
+    build_partitioner, measure_skew, HashPartitioner, Key, Partitioner, PartitionerSpec,
+    RangePartitioner, Record, ReduceFn, Value, WorkloadConf,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -20,53 +20,6 @@ fn arb_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
     proptest::collection::vec(
         (any::<i64>(), any::<i64>())
             .prop_map(|(k, v)| Record::new(Key::Int(k % 50), Value::Int(v))),
-        0..max,
-    )
-}
-
-/// Every key shape the engine produces, including keyless rows and
-/// composite pairs that force the columnar plane's row fallback.
-fn arb_any_key() -> impl Strategy<Value = Key> {
-    prop_oneof![
-        Just(Key::None),
-        any::<i64>().prop_map(Key::Int),
-        "[a-z]{0,6}".prop_map(|s| Key::str(&s)),
-        (any::<i64>(), "[a-z]{0,4}")
-            .prop_map(|(a, b)| Key::Pair(Box::new(Key::Int(a)), Box::new(Key::Str(b.into())))),
-    ]
-}
-
-/// Every value shape, including nested pairs and lists.
-fn arb_any_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        Just(Value::Null),
-        any::<i64>().prop_map(Value::Int),
-        any::<f64>().prop_map(Value::Float),
-        "[a-z]{0,8}".prop_map(|s| Value::Str(s.into())),
-        proptest::collection::vec(any::<f64>(), 0..6).prop_map(|v| Value::Vector(Arc::new(v))),
-        (any::<i64>(), any::<f64>())
-            .prop_map(|(a, b)| Value::Pair(Box::new(Value::Int(a)), Box::new(Value::Float(b)))),
-        proptest::collection::vec(any::<i64>().prop_map(Value::Int), 0..4)
-            .prop_map(|v| Value::List(Arc::new(v))),
-    ]
-}
-
-fn arb_mixed_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
-    proptest::collection::vec(
-        (arb_any_key(), arb_any_value()).prop_map(|(k, v)| Record::new(k, v)),
-        0..max,
-    )
-}
-
-/// Records whose keys/values fit the typed columnar layouts (no fallback).
-fn arb_typed_records(max: usize) -> impl Strategy<Value = Vec<Record>> {
-    let key = prop_oneof![
-        Just(Key::None),
-        any::<i64>().prop_map(Key::Int),
-        "[a-z]{0,5}".prop_map(|s| Key::str(&s)),
-    ];
-    proptest::collection::vec(
-        (key, any::<i64>()).prop_map(|(k, v)| Record::new(k, Value::Int(v))),
         0..max,
     )
 }
@@ -132,7 +85,7 @@ proptest! {
         prop_assert_eq!(key_sums(&rebuilt), key_sums(&records));
         // And every record sits in the right bucket.
         for (i, bucket) in tb.buckets.iter().enumerate() {
-            for r in bucket.to_vec() {
+            for r in bucket.iter() {
                 prop_assert_eq!(p.partition(&r.key), i);
             }
         }
@@ -239,65 +192,5 @@ proptest! {
         let p = build_partitioner(spec, keys.iter(), 5);
         prop_assert_eq!(p.num_partitions(), parts);
         prop_assert_eq!(p.kind(), spec.kind);
-    }
-}
-
-proptest! {
-    /// The columnar batch is a lossless encoding of any record set: every
-    /// key shape (including `Key::None` rows and composite pairs that force
-    /// the row fallback) and every value shape round-trips bit-identically.
-    #[test]
-    fn column_batch_round_trips_any_records(records in arb_mixed_records(120)) {
-        let batch = ColumnBatch::from_records(&records);
-        prop_assert_eq!(batch.len(), records.len());
-        prop_assert_eq!(batch.to_records(), records.clone());
-        // encoded_size computed from buffer lengths must equal the
-        // row-path byte accounting of the same records.
-        prop_assert_eq!(batch.encoded_size(), engine::batch_size(&records));
-        // And any window of the batch is the matching window of the rows.
-        if !records.is_empty() {
-            let mid = records.len() / 2;
-            let tail = batch.slice(mid, records.len() - mid);
-            prop_assert_eq!(tail.to_records(), records[mid..].to_vec());
-        }
-    }
-
-    /// Per-batch partition assignment (one pass over the key column) equals
-    /// the per-record assignment for both hash and range partitioners, on
-    /// typed key columns and on fallback row columns alike.
-    #[test]
-    fn batch_assignment_matches_per_record(records in arb_mixed_records(150),
-                                           parts in 1usize..32,
-                                           range in any::<bool>()) {
-        let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
-        let p: Box<dyn Partitioner> = if range {
-            Box::new(RangePartitioner::from_sample(keys.iter(), parts, 7))
-        } else {
-            Box::new(HashPartitioner::new(parts))
-        };
-        let batch = ColumnBatch::from_records(&records);
-        let mut got = Vec::new();
-        batch.partition_assignment(&*p, &mut got);
-        let want: Vec<u32> = records.iter().map(|r| p.partition(&r.key) as u32).collect();
-        prop_assert_eq!(got, want);
-    }
-
-    /// Typed int/str key columns take the vectorized assignment path; it
-    /// must agree with the scalar path there too.
-    #[test]
-    fn typed_batch_assignment_matches_per_record(records in arb_typed_records(200),
-                                                 parts in 1usize..32,
-                                                 range in any::<bool>()) {
-        let keys: Vec<Key> = records.iter().map(|r| r.key.clone()).collect();
-        let p: Box<dyn Partitioner> = if range {
-            Box::new(RangePartitioner::from_sample(keys.iter(), parts, 11))
-        } else {
-            Box::new(HashPartitioner::new(parts))
-        };
-        let batch = ColumnBatch::from_records(&records);
-        let mut got = Vec::new();
-        batch.partition_assignment(&*p, &mut got);
-        let want: Vec<u32> = records.iter().map(|r| p.partition(&r.key) as u32).collect();
-        prop_assert_eq!(got, want);
     }
 }

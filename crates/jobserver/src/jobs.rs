@@ -455,18 +455,16 @@ mod tests {
     }
 
     #[test]
-    fn results_are_independent_of_workers_and_data_plane() {
+    fn results_are_independent_of_workers() {
         let r = req(JobKind::KMeans, 0.25, 3);
         let base = TenantRuntime::new(EngineOptions {
             workers: 1,
-            batch: false,
             ..small_opts()
         })
         .run(&r);
-        for (workers, batch) in [(4, true), (2, false)] {
+        for workers in [4, 2] {
             let got = TenantRuntime::new(EngineOptions {
                 workers,
-                batch,
                 ..small_opts()
             })
             .run(&r);

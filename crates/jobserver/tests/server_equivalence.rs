@@ -1,8 +1,8 @@
 //! Job-server equivalence suite, in the style of `pipeline_equivalence`:
 //! a fixed trace + seed must produce a bit-identical [`ServeReport`] —
 //! per-job result hashes, dispatch/completion times, latencies, queue
-//! and ledger counters — regardless of host worker count, batch
-//! data-plane mode, or how tenant executions physically interleave.
+//! and ledger counters — regardless of host worker count or how tenant
+//! executions physically interleave.
 //!
 //! This is the property that makes the contention benchmark and the CI
 //! matrix meaningful: scheduling decisions key on virtual-clock state
@@ -10,13 +10,12 @@
 
 use jobserver::{generate, serve, Interleave, Policy, ServeReport, ServerConfig};
 
-fn engine(workers: usize, batch: bool) -> engine::EngineOptions {
+fn engine(workers: usize) -> engine::EngineOptions {
     engine::EngineOptions {
         cluster: simcluster::uniform_cluster(4, 4, 2.0),
         default_parallelism: 8,
         block_size: 128 * 1024,
         workers,
-        batch,
         ..jobserver::server_engine_defaults()
     }
 }
@@ -24,7 +23,6 @@ fn engine(workers: usize, batch: bool) -> engine::EngineOptions {
 fn run_with_slots(
     policy: Policy,
     workers: usize,
-    batch: bool,
     interleave: Interleave,
     slots: usize,
 ) -> ServeReport {
@@ -32,15 +30,15 @@ fn run_with_slots(
     let cfg = ServerConfig {
         policy,
         slots,
-        engine: engine(workers, batch),
+        engine: engine(workers),
         interleave,
         ..ServerConfig::default()
     };
     serve(&trace, &cfg).unwrap()
 }
 
-fn run(policy: Policy, workers: usize, batch: bool, interleave: Interleave) -> ServeReport {
-    run_with_slots(policy, workers, batch, interleave, 4)
+fn run(policy: Policy, workers: usize, interleave: Interleave) -> ServeReport {
+    run_with_slots(policy, workers, interleave, 4)
 }
 
 /// Field-by-field bit comparison, with `Debug` as the catch-all (equal
@@ -76,21 +74,21 @@ fn assert_identical(label: &str, got: &ServeReport, want: &ServeReport) {
 }
 
 #[test]
-fn report_is_bit_identical_across_workers_dataplane_and_interleaving() {
-    // Reference: fully serial host — one worker, row data plane, jobs
-    // executed inline at dispatch.
-    let reference = run(Policy::Fair, 1, false, Interleave::Serial);
+fn report_is_bit_identical_across_workers_and_interleaving() {
+    // Reference: fully serial host — one worker, jobs executed inline at
+    // dispatch.
+    let reference = run(Policy::Fair, 1, Interleave::Serial);
     assert_eq!(reference.completed, 56);
     assert!(reference.rejected.is_empty());
 
-    let sweeps: [(&str, usize, bool, Interleave); 4] = [
-        ("w8 batch threads", 8, true, Interleave::TenantThreads),
-        ("w8 rows serial", 8, false, Interleave::Serial),
-        ("w2 batch threads", 2, true, Interleave::TenantThreads),
-        ("w1 rows threads", 1, false, Interleave::TenantThreads),
+    let sweeps: [(&str, usize, Interleave); 4] = [
+        ("w8 threads", 8, Interleave::TenantThreads),
+        ("w8 serial", 8, Interleave::Serial),
+        ("w2 threads", 2, Interleave::TenantThreads),
+        ("w1 threads", 1, Interleave::TenantThreads),
     ];
-    for (label, workers, batch, interleave) in sweeps {
-        let got = run(Policy::Fair, workers, batch, interleave);
+    for (label, workers, interleave) in sweeps {
+        let got = run(Policy::Fair, workers, interleave);
         assert_identical(label, &got, &reference);
     }
 }
@@ -101,18 +99,18 @@ fn fifo_and_fair_disagree_on_timing_but_not_tables() {
     // order actually exercises the policies (the 4-tenant smoke trace is
     // light enough that both drain arrivals as they come).
     let trace = generate(16, 96, 5);
-    let run16 = |policy: Policy, workers: usize, batch: bool, interleave: Interleave| {
+    let run16 = |policy: Policy, workers: usize, interleave: Interleave| {
         let cfg = ServerConfig {
             policy,
             slots: 4,
-            engine: engine(workers, batch),
+            engine: engine(workers),
             interleave,
             ..ServerConfig::default()
         };
         serve(&trace, &cfg).unwrap()
     };
-    let fair = run16(Policy::Fair, 8, true, Interleave::TenantThreads);
-    let fifo = run16(Policy::Fifo, 8, true, Interleave::TenantThreads);
+    let fair = run16(Policy::Fair, 8, Interleave::TenantThreads);
+    let fifo = run16(Policy::Fifo, 8, Interleave::TenantThreads);
     // Same jobs, same bytes: the policy-independent fingerprint matches.
     assert_eq!(fair.tables_text(), fifo.tables_text());
     // But they are genuinely different schedules.
@@ -128,8 +126,8 @@ fn fifo_and_fair_disagree_on_timing_but_not_tables() {
         "fair and fifo produced identical dispatch times — no contention?"
     );
     // And FIFO itself replays bit-identically on a different host shape.
-    let fifo2 = run16(Policy::Fifo, 2, false, Interleave::Serial);
-    assert_identical("fifo w2 rows serial", &fifo2, &fifo);
+    let fifo2 = run16(Policy::Fifo, 2, Interleave::Serial);
+    assert_identical("fifo w2 serial", &fifo2, &fifo);
 }
 
 #[test]
@@ -141,7 +139,7 @@ fn serve_rejects_unsound_configurations() {
         &ServerConfig {
             queue_cap: 4,
             interleave: Interleave::TenantThreads,
-            engine: engine(2, true),
+            engine: engine(2),
             ..ServerConfig::default()
         },
     )
@@ -152,7 +150,7 @@ fn serve_rejects_unsound_configurations() {
         &trace,
         &ServerConfig {
             slots: 0,
-            engine: engine(2, true),
+            engine: engine(2),
             ..ServerConfig::default()
         },
     )
@@ -164,7 +162,7 @@ fn serve_rejects_unsound_configurations() {
         &ServerConfig {
             mem_shared: 1 << 10,
             mem_guarantee: 1 << 10,
-            engine: engine(2, true),
+            engine: engine(2),
             ..ServerConfig::default()
         },
     )
@@ -174,7 +172,7 @@ fn serve_rejects_unsound_configurations() {
 
 #[test]
 fn report_round_trips_through_json() {
-    let report = run(Policy::Fair, 2, true, Interleave::TenantThreads);
+    let report = run(Policy::Fair, 2, Interleave::TenantThreads);
     let parsed = ServeReport::parse(&report.to_json()).unwrap();
     assert_eq!(parsed, report);
     assert_eq!(format!("{parsed:?}"), format!("{report:?}"));

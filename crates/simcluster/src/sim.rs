@@ -173,11 +173,6 @@ impl Simulation {
         );
     }
 
-    /// Brings a failed node back.
-    pub fn recover_node(&mut self, node: NodeId) {
-        self.failed[node] = false;
-    }
-
     /// Registers `bytes` of cached RDD data resident on `node` (counted in
     /// the memory-utilization trace until released).
     pub fn add_resident(&mut self, node: NodeId, bytes: u64) {

@@ -2,16 +2,16 @@
 //! workload, a cluster spec carrying `Topology::Flat` must produce
 //! bit-identical simulated results to the default spec — job/stage
 //! metrics, per-task virtual durations, and the virtual-clock slice of
-//! the Chrome trace — at any host worker count, with batching on or
-//! off. The netsim fabric only engages for rack specs;
-//! flat keeps the closed-form fetch model byte-for-byte.
+//! the Chrome trace — at any host worker count. The netsim fabric only
+//! engages for rack specs; flat keeps the closed-form fetch model
+//! byte-for-byte.
 
 use chopper::Workload;
 use engine::{ClockFilter, Context, EngineOptions, JobMetrics, TraceSink, WorkloadConf};
 use simcluster::{uniform_cluster, Topology};
 use workloads::{KMeans, KMeansConfig, LogReg, LogRegConfig, Pca, PcaConfig, Sql, SqlConfig};
 
-fn options(explicit_flat: bool, batch: bool, workers: usize) -> EngineOptions {
+fn options(explicit_flat: bool, workers: usize) -> EngineOptions {
     let mut cluster = uniform_cluster(3, 4, 2.0);
     if explicit_flat {
         cluster = cluster.with_topology(Topology::Flat);
@@ -21,7 +21,6 @@ fn options(explicit_flat: bool, batch: bool, workers: usize) -> EngineOptions {
         default_parallelism: 8,
         workers,
         trace: TraceSink::enabled(),
-        batch,
         ..EngineOptions::default()
     }
 }
@@ -70,12 +69,8 @@ struct Observed {
     total_s_bits: u64,
 }
 
-fn observe(w: &dyn Workload, explicit_flat: bool, batch: bool, workers: usize) -> Observed {
-    let ctx: Context = w.run(
-        &options(explicit_flat, batch, workers),
-        &WorkloadConf::new(),
-        1.0,
-    );
+fn observe(w: &dyn Workload, explicit_flat: bool, workers: usize) -> Observed {
+    let ctx: Context = w.run(&options(explicit_flat, workers), &WorkloadConf::new(), 1.0);
     let summary = ctx.trace_summary();
     Observed {
         jobs: ctx.jobs().to_vec(),
@@ -91,39 +86,34 @@ fn observe(w: &dyn Workload, explicit_flat: bool, batch: bool, workers: usize) -
 }
 
 fn assert_flat_topology_equivalent(w: &dyn Workload) {
-    // Reference: the default spec (no topology stated), row data plane,
-    // single worker — exactly what every figure before netsim observed.
-    let reference = observe(w, false, false, 1);
+    // Reference: the default spec (no topology stated), single worker —
+    // exactly what every figure before netsim observed.
+    let reference = observe(w, false, 1);
     assert!(
         !reference.virtual_trace.is_empty(),
         "{}: traced run produced no events",
         w.name()
     );
     for workers in [1, 8] {
-        for batch in [false, true] {
-            let what = format!(
-                "{}: explicit flat, batch {batch}, workers {workers}",
-                w.name()
-            );
-            let got = observe(w, true, batch, workers);
-            assert_jobs_bit_identical(&reference.jobs, &got.jobs, &what);
-            assert_eq!(
-                reference.stages_debug, got.stages_debug,
-                "{what}: stage metrics diverged"
-            );
-            assert_eq!(
-                reference.virtual_trace, got.virtual_trace,
-                "{what}: virtual trace slice diverged"
-            );
-            assert_eq!(
-                reference.summary_stages, got.summary_stages,
-                "{what}: summary stage rows diverged"
-            );
-            assert_eq!(
-                reference.total_s_bits, got.total_s_bits,
-                "{what}: total virtual time diverged"
-            );
-        }
+        let what = format!("{}: explicit flat, workers {workers}", w.name());
+        let got = observe(w, true, workers);
+        assert_jobs_bit_identical(&reference.jobs, &got.jobs, &what);
+        assert_eq!(
+            reference.stages_debug, got.stages_debug,
+            "{what}: stage metrics diverged"
+        );
+        assert_eq!(
+            reference.virtual_trace, got.virtual_trace,
+            "{what}: virtual trace slice diverged"
+        );
+        assert_eq!(
+            reference.summary_stages, got.summary_stages,
+            "{what}: summary stage rows diverged"
+        );
+        assert_eq!(
+            reference.total_s_bits, got.total_s_bits,
+            "{what}: total virtual time diverged"
+        );
     }
 }
 

@@ -1,23 +1,32 @@
 //! Failure injection (paper Section VI future work: "we will also explore
 //! how CHOPPER behaves under failures"): degrade and fail nodes mid-
 //! workload and watch the engine route around them — results stay correct,
-//! stages stretch, recovery restores capacity.
+//! stages stretch, and restoring the slow node recovers throughput.
+//!
+//! Faults come from a [`FaultPlan`] whose events are timed on the virtual
+//! clock. That clock is deterministic, so the example builds its plan one
+//! event at a time: it replays the workload under the plan so far, reads
+//! the clock at the end of the latest round, and schedules the next event
+//! there. Every replay reproduces the earlier rounds exactly.
 //!
 //! ```text
 //! cargo run --release --example failure_injection
 //! ```
 
-use engine::{Context, EngineOptions, Key, Record, ReduceFn, Value};
+use engine::{
+    Context, EngineOptions, FaultPlan, Key, NodeLoss, Record, ReduceFn, Straggler, Value,
+};
 use std::sync::Arc;
 
-fn main() {
+/// Caches a dataset, then runs `rounds` aggregation rounds under `plan`.
+/// Returns each round's (distinct keys, duration, clock at its end).
+fn run(plan: &FaultPlan, rounds: usize) -> Vec<(u64, f64, f64)> {
     let mut ctx = Context::new(EngineOptions {
         cluster: simcluster::paper_cluster(),
         default_parallelism: 300,
+        faults: Some(plan.clone()),
         ..EngineOptions::default()
     });
-
-    // A cached dataset processed by repeated aggregation rounds.
     let data: Vec<Record> = (0..600_000)
         .map(|i| Record::new(Key::Int(i % 500), Value::Int(1)))
         .collect();
@@ -26,45 +35,59 @@ fn main() {
     ctx.count(points, "materialize");
 
     let sum: ReduceFn = Arc::new(|a: &Value, b: &Value| Value::Int(a.as_int() + b.as_int()));
-    let round = |ctx: &mut Context, label: &'static str| -> (u64, f64) {
-        let m = ctx.map(points, Arc::new(|r: &Record| r.clone()), 4e-4, "process");
-        let red = ctx.reduce_by_key(m, Arc::clone(&sum), None, 1e-5, "aggregate");
-        let n = ctx.count(red, label);
-        (n, ctx.jobs().last().expect("job ran").duration())
+    (0..rounds)
+        .map(|_| {
+            let m = ctx.map(points, Arc::new(|r: &Record| r.clone()), 4e-4, "process");
+            let red = ctx.reduce_by_key(m, Arc::clone(&sum), None, 1e-5, "aggregate");
+            let keys = ctx.count(red, "round");
+            let job = ctx.jobs().last().expect("job ran");
+            (keys, job.duration(), job.end)
+        })
+        .collect()
+}
+
+fn main() {
+    let mut plan = FaultPlan::default();
+    let mut rounds = run(&plan, 1);
+    let slow = |factor: f64, at: f64| Straggler {
+        node: 1,
+        factor,
+        at,
     };
-
-    let (keys_healthy, t_healthy) = round(&mut ctx, "healthy");
-    println!("healthy cluster:          {keys_healthy} keys in {t_healthy:.2}s");
-
     // Node B degrades to quarter speed (contention, thermal throttling...).
-    ctx.inject_slowdown(1, 4.0);
-    let (keys_slow, t_slow) = round(&mut ctx, "slow-node");
-    println!("node B at quarter speed:  {keys_slow} keys in {t_slow:.2}s");
+    plan.stragglers.push(slow(4.0, rounds[0].2));
+    rounds = run(&plan, 2);
+    // Node A fails outright: its executor takes no more tasks, and its
+    // cached partitions re-home to surviving replicas.
+    plan.node_loss.push(NodeLoss {
+        node: 0,
+        at: rounds[1].2,
+    });
+    rounds = run(&plan, 3);
+    // Node B comes back to full speed; A stays lost.
+    plan.stragglers.push(slow(1.0, rounds[2].2));
+    rounds = run(&plan, 4);
 
-    // Node A fails outright: its executor takes no more tasks; data
-    // materialized there is still fetchable.
-    ctx.inject_failure(0);
-    let (keys_failed, t_failed) = round(&mut ctx, "failed-node");
-    println!("node A failed as well:    {keys_failed} keys in {t_failed:.2}s");
+    let labels = [
+        "healthy cluster:         ",
+        "node B at quarter speed: ",
+        "node A failed as well:   ",
+        "node B restored:         ",
+    ];
+    for (label, (keys, t, _)) in labels.iter().zip(&rounds) {
+        println!("{label} {keys} keys in {t:.2}s");
+    }
 
-    // Both recover.
-    ctx.recover(0);
-    ctx.inject_slowdown(1, 1.0);
-    let (keys_recovered, t_recovered) = round(&mut ctx, "recovered");
-    println!("after recovery:           {keys_recovered} keys in {t_recovered:.2}s");
-
-    assert_eq!(keys_healthy, 500);
-    assert_eq!(keys_healthy, keys_slow);
-    assert_eq!(keys_healthy, keys_failed);
-    assert_eq!(keys_healthy, keys_recovered);
-    assert!(t_slow > t_healthy, "a straggler node must slow the barrier");
-    // Interestingly, failing A outright can be slightly *cheaper* than
-    // keeping it as a straggler trap would be — but it must still be worse
-    // than the healthy cluster.
+    let [healthy, slow, failed, restored] = [0, 1, 2, 3].map(|i| rounds[i]);
+    assert!(rounds.iter().all(|r| r.0 == 500), "results never change");
+    assert!(slow.1 > healthy.1, "a straggler node must slow the barrier");
     assert!(
-        t_failed > t_healthy,
+        failed.1 > healthy.1,
         "a 32-core hole must show in the makespan"
     );
-    assert!(t_recovered < t_failed, "recovery restores throughput");
+    assert!(
+        restored.1 < failed.1,
+        "restoring node B recovers throughput"
+    );
     println!("\nresults identical under every condition; only timing degraded.");
 }
