@@ -10,7 +10,7 @@
 //! cost-model recalibrations inside the band do not require a lockstep
 //! baseline refresh.
 
-use jobserver::{generate, serve, Interleave, Policy, ServerConfig};
+use jobserver::{generate, serve, Policy, ServerConfig};
 use serde::{Deserialize, Serialize};
 
 /// Tenant counts swept by the contention benchmark.
@@ -103,7 +103,6 @@ pub fn measure_jobserver() -> JobserverReport {
                 policy,
                 slots: SLOTS,
                 engine: bench_engine(),
-                interleave: Interleave::TenantThreads,
                 ..ServerConfig::default()
             };
             let rep = serve(&trace, &cfg).expect("bench trace serves");
@@ -129,7 +128,6 @@ pub fn measure_jobserver() -> JobserverReport {
                 policy: Policy::Fair,
                 slots: 1,
                 engine: bench_engine(),
-                interleave: Interleave::TenantThreads,
                 ..ServerConfig::default()
             };
             serial_throughput = serve(&trace, &cfg).expect("serial trace serves").throughput;

@@ -341,7 +341,7 @@ impl ScaleSweep {
 
 // ---- perfgate throughput probes -------------------------------------------
 
-/// Interleaved push/pop churn through the netsim event queue (the exact
+/// Alternating push/pop churn through the netsim event queue (the exact
 /// structure the 1000-node sweep's completions run through), `total`
 /// operations with a 512-entry steady backlog. Returns
 /// `(events, seconds)`.

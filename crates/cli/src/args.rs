@@ -27,7 +27,7 @@ impl std::fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: &[&str] = &["copartition", "gantt", "serial"];
+const BOOLEAN_FLAGS: &[&str] = &["copartition", "gantt"];
 
 /// Engine flags, read by every command that runs a workload.
 const ENGINE_FLAGS: &[&str] = &[
@@ -68,7 +68,6 @@ fn command_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
             "mem-tenant",
             "workers",
             "partitions",
-            "serial",
             "cluster",
             "topology",
             "results-out",
@@ -219,6 +218,7 @@ mod tests {
             (&["run", "--pipeline", "off"], "--pipeline"),
             (&["run", "--workload", "sql", "--sacle", "0.5"], "--sacle"),
             (&["serve", "--batch", "on"], "--batch"),
+            (&["serve", "--trace", "t", "--serial"], "--serial"),
             (&["inspect", "--workload", "sql"], "--workload"),
         ] {
             let err = parse(tokens).unwrap_err();
@@ -230,7 +230,7 @@ mod tests {
     fn every_command_accepts_its_own_flags() {
         assert!(parse(&["tune", "--workload", "sql", "--test-partitions", "60,150"]).is_ok());
         assert!(parse(&["compare", "--workload", "pca", "--executor-mem", "64m"]).is_ok());
-        assert!(parse(&["serve", "--trace", "t", "--serial", "--fault-plan", "p"]).is_ok());
+        assert!(parse(&["serve", "--trace", "t", "--fault-plan", "p"]).is_ok());
         assert!(parse(&["loadgen", "--out", "o", "--seed", "3"]).is_ok());
     }
 

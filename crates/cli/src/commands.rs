@@ -29,7 +29,7 @@ commands:
   conf     --file FILE
   serve    --trace FILE [--policy fair|fifo] [--slots N] [--queue-cap N]
            [--mem-shared SIZE] [--mem-tenant SIZE] [--workers N]
-           [--partitions N] [--serial]
+           [--partitions N]
            [--cluster paper|uniform:N,C,GHz] [--results-out FILE]
            [--tables-out FILE] [--trace-out FILE]
   loadgen  --out FILE [--tenants N] [--jobs N] [--seed N]
@@ -60,7 +60,10 @@ node losses at virtual times, slow nodes, shuffle-chunk corruption) and
 enables recovery: retries, lineage recomputation, replica re-homing, and
 blacklisting. Results are bit-identical to the fault-free run; only
 simulated timings change. --fault-seed overrides the plan file's seed.
-Mutually exclusive with --executor-mem.
+Mutually exclusive with --executor-mem: node-loss recovery re-homes
+cached partitions through simulator and block-store residency without
+charging the memory manager, so governed budgets would stop matching
+what each node holds.
 
 serve runs a multi-tenant job trace (see loadgen, or write one by hand:
 `tenant NAME weight W [mem SIZE]` + `job TENANT at SECS KIND scale F
@@ -557,9 +560,6 @@ pub fn serve(args: &Args) -> CmdResult {
     if let Some(s) = args.get("mem-tenant") {
         cfg.mem_guarantee = parse_mem_size(s)?;
     }
-    if args.has("serial") {
-        cfg.interleave = jobserver::Interleave::Serial;
-    }
     if args.get("trace-out").is_some() {
         // One sink catches both server-level events (queue depth, job
         // spans) and the engines' own stage/task spans.
@@ -968,7 +968,6 @@ mod tests {
             "8",
             "--cluster",
             "uniform:4,4,2.0",
-            "--serial",
             "--results-out",
             results.to_str().unwrap(),
             "--tables-out",

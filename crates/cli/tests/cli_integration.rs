@@ -177,3 +177,47 @@ fn conf_rejects_garbage() {
     assert!(!out.status.success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn serve_accepts_a_trace_longer_than_its_queue() {
+    let dir = tmpdir("shortqueue");
+    let trace = dir.join("jobs.trace");
+    run_ok(bin().args([
+        "loadgen",
+        "--out",
+        trace.to_str().unwrap(),
+        "--tenants",
+        "4",
+        "--jobs",
+        "56",
+        "--seed",
+        "11",
+    ]));
+    // 56 jobs through a 2-deep queue: overflow is rejected at admission
+    // and never executes, so the run completes and reports the rejects.
+    let out = run_ok(bin().args([
+        "serve",
+        "--trace",
+        trace.to_str().unwrap(),
+        "--queue-cap",
+        "2",
+        "--slots",
+        "1",
+        "--workers",
+        "2",
+        "--partitions",
+        "8",
+        "--cluster",
+        "uniform:4,4,2.0",
+    ]));
+    let text = String::from_utf8_lossy(&out.stdout);
+    let rejected: usize = text
+        .split_whitespace()
+        .find_map(|w| w.strip_prefix("rejected="))
+        .expect("summary line reports rejected=N")
+        .parse()
+        .unwrap();
+    assert!(rejected > 0, "a 2-deep queue should reject:\n{text}");
+    assert!(text.contains("rejected (queue full)"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -94,10 +94,6 @@ pub(crate) struct PipelineInput<'a> {
     pub(crate) pool: &'a WorkerPool,
     pub(crate) job_id: usize,
     pub(crate) trace: &'a TraceSink,
-    /// Pool lanes this job's scheduler loop may occupy (the context's
-    /// slot cap clamped to the pool width). Host-side concurrency only —
-    /// the unit queue and virtual accounting are identical at any width.
-    pub(crate) lanes: usize,
     /// Adaptive hot-partition splitting (`EngineOptions::adaptive`).
     /// Eligible consumers gate on the full map×partition byte table, the
     /// same decision input the driver's replay uses to build sub-task
@@ -403,7 +399,6 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
         pool,
         job_id,
         trace: sink,
-        lanes,
         adaptive,
     } = input;
 
@@ -632,8 +627,9 @@ pub(crate) fn run_pipelined(input: PipelineInput<'_>) -> Vec<StageData> {
         sink,
     };
     let rt_ref = &rt;
-    let lanes = lanes.clamp(1, pool.workers());
-    pool.map_capped(lanes, lanes, |_, participant| {
+    // One scheduler loop per pool lane. Host-side concurrency only — the
+    // unit queue and virtual accounting are identical at any width.
+    pool.map_with(pool.workers(), |_, participant| {
         scheduler_loop(rt_ref, participant)
     });
 

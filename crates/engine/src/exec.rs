@@ -16,11 +16,10 @@ use crate::record::{batch_size, Key, Record};
 use crate::stage::{plan_job, MaterializedInfo, Plan, PlanStage, SideDep, StageOutput, StageRoot};
 use blockstore::BlockStore;
 use faults::{FaultCounters, FaultPlan, NodeLoss, Straggler};
-use memman::{Disposition, EvictionPolicy, InsertOutcome, MemCounters, MemoryManager};
+use memman::{Disposition, InsertOutcome, MemCounters, MemoryManager};
 use numeric::Reservoir;
 use simcluster::{ClusterSpec, NodeId, Simulation, TaskSpec};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use trace::TraceSink;
 
@@ -67,9 +66,6 @@ pub struct EngineOptions {
     /// memory-manager decision is virtual accounting, made while the driver
     /// replays the job's stages in plan order.
     pub executor_mem: Option<u64>,
-    /// Victim-selection policy for the bounded cache (LRC by default:
-    /// DAG-aware least-reference-count, after Yang et al.).
-    pub eviction_policy: EvictionPolicy,
     /// Ignored: every job runs on the pipelined executor. Kept only so
     /// struct literals that still set it compile; it will be removed once
     /// no caller names it.
@@ -92,11 +88,11 @@ pub struct EngineOptions {
     pub batch: bool,
     /// Host compute pool to share with other contexts. `None` (the
     /// default) builds a private pool of `workers` lanes. The job server
-    /// sets this so every tenant's data plane runs on one pool: dispatches
-    /// serialize at epoch granularity inside [`WorkerPool`], and each
-    /// context's [`Context::slot_cap_handle`] bounds how many lanes its
-    /// epochs may occupy. Purely a host-side concern — virtual timings and
-    /// results are bit-identical shared or not.
+    /// sets this so every tenant context runs on one pool instead of each
+    /// spawning its own threads; each job's data plane occupies the whole
+    /// pool for its epoch, and concurrent callers serialize at epoch
+    /// granularity inside [`WorkerPool`]. Purely a host-side concern —
+    /// virtual timings and results are bit-identical shared or not.
     pub shared_pool: Option<Arc<WorkerPool>>,
     /// Adaptive query execution (the default): after the map side of a
     /// range-partitioned shuffle completes, the engine inspects the
@@ -130,7 +126,6 @@ impl Default for EngineOptions {
             driver_bandwidth: 1e9 / 8.0,
             trace: TraceSink::disabled(),
             executor_mem: None,
-            eviction_policy: EvictionPolicy::default(),
             pipeline: true,
             faults: None,
             batch: true,
@@ -167,9 +162,10 @@ impl EngineOptions {
             plan.validate(self.cluster.num_nodes())?;
             if self.executor_mem.is_some() {
                 return Err(
-                    "--fault-plan cannot be combined with --executor-mem: fault \
-                     recovery re-homes data through the ungoverned store, while \
-                     governed runs interleave evictions with stage execution — \
+                    "--fault-plan cannot be combined with --executor-mem: node-loss \
+                     recovery re-homes cached partitions through simulator and \
+                     block-store residency without charging the memory manager, \
+                     so governed budgets would no longer match what nodes hold — \
                      drop one of the two"
                         .to_string(),
                 );
@@ -262,11 +258,6 @@ pub struct Context {
     /// bucketing fans out over these threads. Possibly shared with other
     /// contexts (see [`EngineOptions::shared_pool`]).
     pool: Arc<WorkerPool>,
-    /// Upper bound on pool lanes this context's dispatches may occupy
-    /// (`usize::MAX` = unbounded). The job server retunes it between jobs
-    /// to hand each tenant its weighted share of a shared pool. Affects
-    /// only host-side parallelism, never virtual timing or results.
-    slot_cap: Arc<AtomicUsize>,
     materialized: HashMap<Rdd, Materialized>,
     anchors: HashMap<(crate::partitioner::PartitionerKind, usize, usize), NodeId>,
     jobs: Vec<JobMetrics>,
@@ -315,11 +306,7 @@ impl Context {
                 .trace
                 .name_thread(trace::Track::new(trace::pids::DRIVER, 0), "stages");
         }
-        let mem = MemoryManager::new(
-            options.cluster.num_nodes(),
-            options.executor_mem,
-            options.eviction_policy,
-        );
+        let mem = MemoryManager::new(options.cluster.num_nodes(), options.executor_mem);
         let faults = options
             .faults
             .clone()
@@ -331,7 +318,6 @@ impl Context {
             conf: WorkloadConf::new(),
             options,
             pool,
-            slot_cap: Arc::new(AtomicUsize::new(usize::MAX)),
             materialized: HashMap::new(),
             anchors: HashMap::new(),
             jobs: Vec::new(),
@@ -356,19 +342,6 @@ impl Context {
     /// The persistent compute pool backing this context.
     pub fn pool(&self) -> &Arc<WorkerPool> {
         &self.pool
-    }
-
-    /// Shared handle to this context's pool-lane cap. The job server holds
-    /// one per tenant and retunes it (weighted fair share of a shared
-    /// pool) between jobs; `usize::MAX` means unbounded. Caps change host
-    /// parallelism only — virtual timings and results are unaffected.
-    pub fn slot_cap_handle(&self) -> Arc<AtomicUsize> {
-        Arc::clone(&self.slot_cap)
-    }
-
-    /// Current pool-lane cap for this context's dispatches.
-    fn lane_cap(&self) -> usize {
-        self.slot_cap.load(Ordering::Relaxed).max(1)
     }
 
     /// The execution-trace sink this context records into (disabled unless
@@ -814,7 +787,6 @@ impl Context {
             pool: &self.pool,
             job_id,
             trace: &self.options.trace,
-            lanes: self.lane_cap().min(self.pool.workers()),
             adaptive: self.options.adaptive,
         });
 

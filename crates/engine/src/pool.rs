@@ -28,11 +28,11 @@
 //!   participants stop claiming chunks, and the first payload is re-thrown
 //!   on the caller after the epoch drains.
 //! - **Multi-context sharing.** One pool may back several [`Context`]s at
-//!   once (the job server runs every tenant's data plane on a single
-//!   pool). Dispatches from different calling threads serialize on an
-//!   internal mutex at epoch granularity, and [`WorkerPool::map_capped`]
-//!   bounds how many participants one epoch may occupy, so a tenant's
-//!   weighted share of the pool can be enforced without splitting threads.
+//!   once (the job server builds every tenant context over a single pool
+//!   instead of one pool per tenant). Each epoch may occupy the whole
+//!   pool; dispatches from different calling threads serialize on an
+//!   internal mutex at epoch granularity, so sharing stays sound for any
+//!   caller.
 
 use crate::shuffle::TaskArena;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -212,23 +212,8 @@ impl WorkerPool {
     /// participant executing the item (`0..workers()`, stable for the
     /// lifetime of the pool), for access to per-participant scratch state
     /// such as [`WorkerPool::arena`].
+    /// An epoch occupies `min(n, workers())` participants.
     pub fn map_with<U, F>(&self, n: usize, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize, usize) -> U + Sync,
-    {
-        self.map_capped(n, usize::MAX, f)
-    }
-
-    /// Like [`WorkerPool::map_with`], but at most `cap` participants work
-    /// on this epoch; the rest of the pool stays available to other
-    /// dispatching threads only in the sense that they finish immediately
-    /// (the epoch still serializes on the dispatch lock). `cap` is how the
-    /// job server enforces a tenant's weighted share of the pool: a capped
-    /// dispatch occupies `min(cap, workers())` lanes, leaving timing —
-    /// which is simulated — untouched, so results are bit-identical for
-    /// every cap value.
-    pub fn map_capped<U, F>(&self, n: usize, cap: usize, f: F) -> Vec<U>
     where
         U: Send,
         F: Fn(usize, usize) -> U + Sync,
@@ -238,7 +223,7 @@ impl WorkerPool {
         }
         self.shared.jobs.fetch_add(1, Ordering::Relaxed);
         self.shared.items.fetch_add(n as u64, Ordering::Relaxed);
-        let participants = self.workers().min(cap.max(1)).min(n);
+        let participants = self.workers().min(n);
         if self.threads == 0 || participants == 1 {
             // Inline: the caller owns the whole range, nothing is stolen.
             let out = (0..n).map(|i| f(i, 0)).collect();
@@ -256,8 +241,9 @@ impl WorkerPool {
         assert_sync(&ctx);
         let addr = &ctx as *const JobCtx<U, F> as usize;
         let trampoline: Arc<dyn Fn(usize) + Send + Sync> = Arc::new(move |participant| {
-            // Threads beyond the cap sit this epoch out (participant ids
-            // are fixed per thread; the job context is sized to the cap).
+            // Threads beyond `participants` (fewer items than workers) sit
+            // this epoch out: participant ids are fixed per thread and the
+            // job context is sized to `participants`.
             if participant >= participants {
                 return;
             }
@@ -595,21 +581,19 @@ mod tests {
     }
 
     #[test]
-    fn map_capped_limits_participants_and_preserves_results() {
+    fn short_epochs_occupy_at_most_n_participants() {
         let pool = WorkerPool::new(8);
-        let expected: Vec<usize> = (0..300).map(|i| i * 3).collect();
-        for cap in [1, 2, 4, usize::MAX] {
-            let out = pool.map_capped(300, cap, |i, participant| {
+        for n in [1, 2, 5, 8, 300] {
+            let out = pool.map_with(n, |i, participant| {
                 assert!(
-                    participant < cap.min(pool.workers()),
-                    "participant {participant} exceeds cap {cap}"
+                    participant < n.min(pool.workers()),
+                    "participant {participant} exceeds {n} items"
                 );
                 i * 3
             });
-            assert_eq!(out, expected, "cap = {cap}");
+            let expected: Vec<usize> = (0..n).map(|i| i * 3).collect();
+            assert_eq!(out, expected, "n = {n}");
         }
-        // cap 0 is clamped to 1 (inline) rather than deadlocking.
-        assert_eq!(pool.map_capped(5, 0, |i, _| i), vec![0, 1, 2, 3, 4]);
     }
 
     #[test]

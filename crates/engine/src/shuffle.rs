@@ -962,7 +962,7 @@ mod tests {
         let left: Vec<Record> = (0..20).map(|i| rec(i % 6, i)).collect();
         let right: Vec<Record> = (0..15).map(|i| rec(i % 8, i + 100)).collect();
         let (batch, batch_probes) = merge_join(&left, &right);
-        // Interleave: rights arrive before the left side is complete.
+        // Mixed order: rights arrive before the left side is complete.
         let mut m = JoinMerge::new();
         m.push_right_owned(right[..7].to_vec());
         m.push_left_owned(left[..10].to_vec());

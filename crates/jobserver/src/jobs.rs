@@ -7,8 +7,8 @@
 //! materialized when a later job of the same tenant asks for the same
 //! `(kind, scale, seed)` — the cross-job cache reuse the job server
 //! advertises. Every generator is a pure function of `(seed, global
-//! record index)`, so results are independent of partition count, worker
-//! count, and physical interleaving.
+//! record index)`, so results are independent of partition count and
+//! worker count.
 
 use std::collections::HashMap;
 use std::sync::Arc;

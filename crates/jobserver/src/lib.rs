@@ -15,18 +15,17 @@
 //!   fluid contention model on the server's virtual clock.
 //!
 //! The cross-cutting invariant, inherited from the engine: **data is
-//! real, time is virtual**. Tenant data planes really execute — on one
-//! shared host [`engine::WorkerPool`], capped per tenant — while every
-//! scheduling decision keys on virtual-clock state only. A fixed trace
-//! therefore produces bit-identical per-job result tables and latencies
-//! across worker counts and physical interleavings; `tests/server_equivalence.rs` pins this.
+//! real, time is virtual**. Each job's data plane really executes, inline
+//! at its dispatch point, on the one host [`engine::WorkerPool`] all
+//! tenant contexts share — while every scheduling decision keys on
+//! virtual-clock state only. A fixed trace therefore produces
+//! bit-identical per-job result tables and latencies across worker
+//! counts; `tests/server_equivalence.rs` pins this.
 
 pub mod jobs;
 pub mod server;
 pub mod trace_file;
 
 pub use jobs::{mem_demand, JobOutcome, TenantRuntime};
-pub use server::{
-    serve, server_engine_defaults, Interleave, JobRow, Policy, ServeReport, ServerConfig,
-};
+pub use server::{serve, server_engine_defaults, JobRow, Policy, ServeReport, ServerConfig};
 pub use trace_file::{generate, JobKind, JobRequest, JobTrace, TenantSpec};

@@ -6,14 +6,15 @@
 //!
 //! The engine already splits *data* (real, host threads) from *timing*
 //! (virtual cluster). The server adds a third layer with the same split:
-//! jobs **execute** for real on tenant contexts sharing one host worker
-//! pool, but **when** they dispatch and complete is decided on the
-//! server's own virtual clock by a fluid processor-sharing model fed with
-//! each job's uncontended service time and core demand. Scheduling state
-//! (virtual time, fair tags, queue contents, the memory ledger) is keyed
-//! only on trace content — never on host timing — so a fixed trace + seed
-//! replays bit-identically regardless of worker count or how tenant
-//! executions physically interleave.
+//! each job **executes** for real, inline at its dispatch point, on its
+//! tenant's context over the whole shared host worker pool, but **when**
+//! it dispatches and completes is decided on the server's own virtual
+//! clock by a fluid processor-sharing model fed with the job's
+//! uncontended service time and core demand. Scheduling state (virtual
+//! time, fair tags, queue contents, the memory ledger) is keyed only on
+//! trace content — never on host timing — so a fixed trace + seed
+//! replays bit-identically regardless of worker count. A rejected job
+//! never executes.
 //!
 //! # Scheduling
 //!
@@ -72,19 +73,6 @@ impl Policy {
     }
 }
 
-/// How tenant executions physically interleave on the host. Purely a
-/// host-side choice — reports are bit-identical across modes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Interleave {
-    /// Execute each job inline at its dispatch point, one at a time.
-    Serial,
-    /// Pre-execute every tenant's job stream on its own OS thread, all
-    /// tenants concurrently on the shared pool; the scheduler then
-    /// consumes recorded outcomes. Requires `queue_cap >= jobs` (a
-    /// rejected job must not execute).
-    TenantThreads,
-}
-
 /// Server configuration.
 pub struct ServerConfig {
     /// Dispatch policy.
@@ -101,8 +89,6 @@ pub struct ServerConfig {
     /// Engine options for every tenant context (cluster, workers,
     /// parallelism). `shared_pool` is overwritten by the server.
     pub engine: EngineOptions,
-    /// Host-side execution interleaving.
-    pub interleave: Interleave,
     /// Server-level trace sink (queue depth, per-job spans).
     pub trace: TraceSink,
     /// Fault plans by tenant name — that tenant's context runs with
@@ -129,7 +115,6 @@ impl Default for ServerConfig {
             mem_shared: 1 << 30,
             mem_guarantee: 256 << 20,
             engine: server_engine_defaults(),
-            interleave: Interleave::TenantThreads,
             trace: TraceSink::disabled(),
             fault_plans: Vec::new(),
         }
@@ -324,15 +309,6 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
             return Err(format!("fault plan names unknown tenant '{name}'"));
         }
     }
-    if cfg.interleave == Interleave::TenantThreads && trace.jobs.len() > cfg.queue_cap {
-        return Err(format!(
-            "interleave=tenant-threads pre-executes every job, which is only sound when no job \
-             can be rejected: need queue_cap >= {} jobs, got {}",
-            trace.jobs.len(),
-            cfg.queue_cap
-        ));
-    }
-
     let guarantees: Vec<u64> = trace
         .tenants
         .iter()
@@ -355,7 +331,6 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
         cfg.engine.workers,
         cfg.engine.trace.clone(),
     ));
-    let total_weight: f64 = trace.tenants.iter().map(|t| t.weight).sum();
     let mut runtimes: Vec<TenantRuntime> = trace
         .tenants
         .iter()
@@ -370,47 +345,9 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
                 faults,
                 ..cfg.engine.clone()
             };
-            let rt = TenantRuntime::new(options);
-            // Weighted share of host lanes, at least one.
-            let lanes = ((cfg.engine.workers as f64) * t.weight / total_weight).round() as usize;
-            rt.ctx
-                .slot_cap_handle()
-                .store(lanes.max(1), std::sync::atomic::Ordering::Relaxed);
-            rt
+            TenantRuntime::new(options)
         })
         .collect();
-
-    // Pre-execute per tenant when asked: every tenant's stream runs on
-    // its own OS thread, so data planes genuinely contend on the shared
-    // pool. Outcomes (and therefore the schedule) are identical to
-    // serial execution because each tenant's job order is preserved.
-    let mut prerun: Vec<Option<JobOutcome>> = Vec::new();
-    if cfg.interleave == Interleave::TenantThreads {
-        prerun = trace.jobs.iter().map(|_| None).collect();
-        let mut outcomes: Vec<(usize, JobOutcome)> = Vec::new();
-        let order = trace.arrival_order();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (t, rt) in runtimes.iter_mut().enumerate() {
-                let jobs: Vec<&crate::trace_file::JobRequest> = order
-                    .iter()
-                    .map(|&id| &trace.jobs[id])
-                    .filter(|j| j.tenant == t)
-                    .collect();
-                handles.push(scope.spawn(move || {
-                    jobs.into_iter()
-                        .map(|job| (job.id, rt.run(job)))
-                        .collect::<Vec<_>>()
-                }));
-            }
-            for handle in handles {
-                outcomes.extend(handle.join().expect("tenant thread panicked"));
-            }
-        });
-        for (id, outcome) in outcomes {
-            prerun[id] = Some(outcome);
-        }
-    }
 
     // --- Virtual side: the fluid scheduling model. ----------------------
     let sink = &cfg.trace;
@@ -563,11 +500,7 @@ pub fn serve(trace: &JobTrace, cfg: &ServerConfig) -> Result<ServeReport, String
             let Some((t, id, need)) = picked else { break };
             flows[t].queue.pop_front();
             queued -= 1;
-            let req = &trace.jobs[id];
-            let outcome = match cfg.interleave {
-                Interleave::TenantThreads => prerun[id].clone().expect("job pre-executed"),
-                Interleave::Serial => runtimes[t].run(req),
-            };
+            let outcome = runtimes[t].run(&trace.jobs[id]);
             let service = outcome.t_solo.max(1e-9);
             if cfg.policy == Policy::Fair {
                 let start_tag = vtag.max(flows[t].finish_tag);

@@ -3,7 +3,7 @@
 //! concurrency scales throughput, and admission control (bounded queue,
 //! memory ledger) degrades deterministically.
 
-use jobserver::{generate, serve, Interleave, Policy, ServerConfig};
+use jobserver::{generate, serve, Policy, ServerConfig};
 
 /// Test-sized engine: small uniform cluster, modest parallelism, so a
 /// 16-tenant trace runs in seconds under `cargo test`.
@@ -22,7 +22,6 @@ fn config(policy: Policy, slots: usize) -> ServerConfig {
         policy,
         slots,
         engine: engine(),
-        interleave: Interleave::TenantThreads,
         ..ServerConfig::default()
     }
 }
@@ -77,7 +76,6 @@ fn bounded_queue_rejects_deterministically() {
     let trace = generate(4, 56, 11);
     let cfg = ServerConfig {
         queue_cap: 2,
-        interleave: Interleave::Serial,
         ..config(Policy::Fair, 1)
     };
     let a = serve(&trace, &cfg).unwrap();

@@ -5,7 +5,7 @@
 //! (fault-free, single-tenant) run — faults perturb the victim's virtual
 //! timings, never anyone's bytes.
 
-use jobserver::{serve, Interleave, JobTrace, ServerConfig};
+use jobserver::{serve, JobTrace, ServerConfig};
 
 const PLAN_SMOKE: &str = include_str!("../../../plans/plan_smoke.plan");
 
@@ -58,7 +58,6 @@ fn faulted_tenant_does_not_perturb_neighbour_tables() {
         &ServerConfig {
             engine: engine(),
             fault_plans: vec![("victim".to_string(), plan)],
-            interleave: Interleave::TenantThreads,
             ..ServerConfig::default()
         },
     )
@@ -74,7 +73,6 @@ fn faulted_tenant_does_not_perturb_neighbour_tables() {
         &JobTrace::from_text(CLEAN_SOLO).unwrap(),
         &ServerConfig {
             engine: engine(),
-            interleave: Interleave::TenantThreads,
             ..ServerConfig::default()
         },
     )
@@ -87,7 +85,6 @@ fn faulted_tenant_does_not_perturb_neighbour_tables() {
         &trace,
         &ServerConfig {
             engine: engine(),
-            interleave: Interleave::Serial,
             ..ServerConfig::default()
         },
     )
@@ -111,7 +108,6 @@ fn faulted_tenant_does_not_perturb_neighbour_tables() {
                 "victim".to_string(),
                 engine::FaultPlan::from_text(PLAN_SMOKE).unwrap(),
             )],
-            interleave: Interleave::Serial,
             ..ServerConfig::default()
         },
     )

@@ -1,14 +1,13 @@
 //! Job-server equivalence suite, in the style of `pipeline_equivalence`:
 //! a fixed trace + seed must produce a bit-identical [`ServeReport`] —
 //! per-job result hashes, dispatch/completion times, latencies, queue
-//! and ledger counters — regardless of host worker count or how tenant
-//! executions physically interleave.
+//! and ledger counters — regardless of host worker count.
 //!
 //! This is the property that makes the contention benchmark and the CI
 //! matrix meaningful: scheduling decisions key on virtual-clock state
 //! only, never on host timing.
 
-use jobserver::{generate, serve, Interleave, Policy, ServeReport, ServerConfig};
+use jobserver::{generate, serve, Policy, ServeReport, ServerConfig};
 
 fn engine(workers: usize) -> engine::EngineOptions {
     engine::EngineOptions {
@@ -20,25 +19,15 @@ fn engine(workers: usize) -> engine::EngineOptions {
     }
 }
 
-fn run_with_slots(
-    policy: Policy,
-    workers: usize,
-    interleave: Interleave,
-    slots: usize,
-) -> ServeReport {
+fn run(policy: Policy, workers: usize) -> ServeReport {
     let trace = generate(4, 56, 11);
     let cfg = ServerConfig {
         policy,
-        slots,
+        slots: 4,
         engine: engine(workers),
-        interleave,
         ..ServerConfig::default()
     };
     serve(&trace, &cfg).unwrap()
-}
-
-fn run(policy: Policy, workers: usize, interleave: Interleave) -> ServeReport {
-    run_with_slots(policy, workers, interleave, 4)
 }
 
 /// Field-by-field bit comparison, with `Debug` as the catch-all (equal
@@ -74,22 +63,15 @@ fn assert_identical(label: &str, got: &ServeReport, want: &ServeReport) {
 }
 
 #[test]
-fn report_is_bit_identical_across_workers_and_interleaving() {
-    // Reference: fully serial host — one worker, jobs executed inline at
-    // dispatch.
-    let reference = run(Policy::Fair, 1, Interleave::Serial);
+fn report_is_bit_identical_across_workers() {
+    // Reference: fully serial host — one worker, every data plane inline.
+    let reference = run(Policy::Fair, 1);
     assert_eq!(reference.completed, 56);
     assert!(reference.rejected.is_empty());
 
-    let sweeps: [(&str, usize, Interleave); 4] = [
-        ("w8 threads", 8, Interleave::TenantThreads),
-        ("w8 serial", 8, Interleave::Serial),
-        ("w2 threads", 2, Interleave::TenantThreads),
-        ("w1 threads", 1, Interleave::TenantThreads),
-    ];
-    for (label, workers, interleave) in sweeps {
-        let got = run(Policy::Fair, workers, interleave);
-        assert_identical(label, &got, &reference);
+    for workers in [2, 8] {
+        let got = run(Policy::Fair, workers);
+        assert_identical(&format!("w{workers}"), &got, &reference);
     }
 }
 
@@ -99,18 +81,17 @@ fn fifo_and_fair_disagree_on_timing_but_not_tables() {
     // order actually exercises the policies (the 4-tenant smoke trace is
     // light enough that both drain arrivals as they come).
     let trace = generate(16, 96, 5);
-    let run16 = |policy: Policy, workers: usize, interleave: Interleave| {
+    let run16 = |policy: Policy, workers: usize| {
         let cfg = ServerConfig {
             policy,
             slots: 4,
             engine: engine(workers),
-            interleave,
             ..ServerConfig::default()
         };
         serve(&trace, &cfg).unwrap()
     };
-    let fair = run16(Policy::Fair, 8, Interleave::TenantThreads);
-    let fifo = run16(Policy::Fifo, 8, Interleave::TenantThreads);
+    let fair = run16(Policy::Fair, 8);
+    let fifo = run16(Policy::Fifo, 8);
     // Same jobs, same bytes: the policy-independent fingerprint matches.
     assert_eq!(fair.tables_text(), fifo.tables_text());
     // But they are genuinely different schedules.
@@ -126,25 +107,13 @@ fn fifo_and_fair_disagree_on_timing_but_not_tables() {
         "fair and fifo produced identical dispatch times — no contention?"
     );
     // And FIFO itself replays bit-identically on a different host shape.
-    let fifo2 = run16(Policy::Fifo, 2, Interleave::Serial);
-    assert_identical("fifo w2 serial", &fifo2, &fifo);
+    let fifo2 = run16(Policy::Fifo, 2);
+    assert_identical("fifo w2", &fifo2, &fifo);
 }
 
 #[test]
 fn serve_rejects_unsound_configurations() {
     let trace = generate(2, 8, 3);
-    // Pre-execution interleaving with a queue that can reject is unsound.
-    let err = serve(
-        &trace,
-        &ServerConfig {
-            queue_cap: 4,
-            interleave: Interleave::TenantThreads,
-            engine: engine(2),
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap_err();
-    assert!(err.contains("queue_cap"), "{err}");
     // Zero slots is meaningless.
     let err = serve(
         &trace,
@@ -172,7 +141,7 @@ fn serve_rejects_unsound_configurations() {
 
 #[test]
 fn report_round_trips_through_json() {
-    let report = run(Policy::Fair, 2, Interleave::TenantThreads);
+    let report = run(Policy::Fair, 2);
     let parsed = ServeReport::parse(&report.to_json()).unwrap();
     assert_eq!(parsed, report);
     assert_eq!(format!("{parsed:?}"), format!("{report:?}"));

@@ -6,13 +6,10 @@
 //! RDD partitions). Execution borrows from storage: raising the execution
 //! reservation shrinks the storage limit and may force evictions.
 //!
-//! Eviction is pluggable:
-//!
-//! * [`EvictionPolicy::Lru`] — classic least-recently-used.
-//! * [`EvictionPolicy::Lrc`] — least-reference-count (DAG-aware, after
-//!   Yang et al.): victims are ordered by remaining lineage references
-//!   first, recency second, so a partition still needed by a future stage
-//!   outlives one that is not.
+//! Eviction is least-reference-count (LRC, DAG-aware, after Yang et al.):
+//! victims are ordered by remaining lineage references first, recency
+//! second, so a partition still needed by a future stage outlives one
+//! that is not.
 //!
 //! A victim with zero remaining references is *dropped* (recompute from
 //! lineage if ever needed again); a victim with live references is
@@ -21,16 +18,6 @@
 //! and ties break on (refs, last-access, id), never on hash order.
 
 use std::collections::BTreeMap;
-
-/// Which victim-selection policy the storage region uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// Least-recently-used, reference counts ignored.
-    Lru,
-    /// Least-reference-count first (DAG-aware), recency as tie-break.
-    #[default]
-    Lrc,
-}
 
 /// Monotonic counters describing everything the manager did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,7 +105,6 @@ pub struct MemoryManager {
     /// Per-node unified budget; `None` means unlimited (manager inert).
     budget: Option<u64>,
     num_nodes: usize,
-    policy: EvictionPolicy,
     /// Logical clock for recency ordering.
     seq: u64,
     entries: BTreeMap<u64, Entry>,
@@ -129,12 +115,11 @@ pub struct MemoryManager {
 
 impl MemoryManager {
     /// Manager with a per-node unified budget.
-    pub fn new(num_nodes: usize, budget: Option<u64>, policy: EvictionPolicy) -> Self {
+    pub fn new(num_nodes: usize, budget: Option<u64>) -> Self {
         assert!(num_nodes > 0, "memory manager needs at least one node");
         MemoryManager {
             budget,
             num_nodes,
-            policy,
             seq: 0,
             entries: BTreeMap::new(),
             storage_used: vec![0; num_nodes],
@@ -145,7 +130,7 @@ impl MemoryManager {
 
     /// Unlimited manager: tracks accounting but never evicts or spills.
     pub fn unlimited(num_nodes: usize) -> Self {
-        Self::new(num_nodes, None, EvictionPolicy::default())
+        Self::new(num_nodes, None)
     }
 
     pub fn num_nodes(&self) -> usize {
@@ -207,10 +192,7 @@ impl MemoryManager {
             if !nodes.iter().any(|&n| e.bytes[n] > 0) {
                 continue;
             }
-            let key = match self.policy {
-                EvictionPolicy::Lru => (0, e.last_access, id),
-                EvictionPolicy::Lrc => (e.refs, e.last_access, id),
-            };
+            let key = (e.refs, e.last_access, id);
             if best.is_none_or(|b| key < b) {
                 best = Some(key);
                 best_id = Some(id);
@@ -498,7 +480,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lru);
+        // Equal refs: LRC falls back to recency.
+        let mut m = MemoryManager::new(1, Some(100));
         assert!(stored(&m.insert(1, vec![40], 1)));
         assert!(stored(&m.insert(2, vec![40], 1)));
         m.touch(1); // entry 2 is now least recent
@@ -513,7 +496,7 @@ mod tests {
 
     #[test]
     fn lrc_prefers_zero_ref_victim_and_drops_it() {
-        let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(1, Some(100));
         m.insert(1, vec![40], 3);
         m.insert(2, vec![40], 0);
         m.touch(2); // recency says evict 1; refs say evict 2
@@ -527,7 +510,7 @@ mod tests {
 
     #[test]
     fn execution_reservation_squeezes_storage() {
-        let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(1, Some(100));
         m.insert(1, vec![60], 1);
         assert!(m.set_execution_reservation(&[30]).is_empty());
         let ev = m.set_execution_reservation(&[70]);
@@ -539,7 +522,7 @@ mod tests {
 
     #[test]
     fn oversized_insert_spills_itself() {
-        let mut m = MemoryManager::new(2, Some(50), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(2, Some(50));
         let out = m.insert(7, vec![60, 10], 2);
         assert!(matches!(out, InsertOutcome::Spilled { .. }));
         assert!(m.is_spilled(7));
@@ -567,7 +550,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_prior_accounting() {
-        let mut m = MemoryManager::new(1, Some(100), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(1, Some(100));
         m.insert(1, vec![80], 1);
         m.insert(1, vec![40], 1); // recompute shrank it
         assert_eq!(m.storage_used(), &[40]);

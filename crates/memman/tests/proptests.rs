@@ -1,16 +1,16 @@
-//! Property-based tests for the eviction-policy invariants the engine
+//! Property-based tests for the eviction invariants the engine
 //! relies on: the storage region never exceeds its budget, LRC never
 //! sacrifices a live-reference partition while a dead one is available,
 //! and spill→reread round-trips byte counts exactly.
 
-use memman::{Disposition, EvictionPolicy, InsertOutcome, MemoryManager};
+use memman::{Disposition, InsertOutcome, MemoryManager};
 use proptest::prelude::*;
 
 /// Drive a manager through a random op sequence and assert the per-node
 /// storage limit is never exceeded by resident bytes.
-fn check_budget_respected(policy: EvictionPolicy, budget: u64, ops: &[(u64, u64, usize)]) {
+fn check_budget_respected(budget: u64, ops: &[(u64, u64, usize)]) {
     let nodes = 3;
-    let mut m = MemoryManager::new(nodes, Some(budget), policy);
+    let mut m = MemoryManager::new(nodes, Some(budget));
     for (i, &(id, size, refs)) in ops.iter().enumerate() {
         match i % 4 {
             0 | 1 => {
@@ -40,15 +40,14 @@ fn check_budget_respected(policy: EvictionPolicy, budget: u64, ops: &[(u64, u64,
 proptest! {
     /// Invariant 1: resident storage bytes never exceed the storage
     /// region limit (budget minus execution reservation), under any mix
-    /// of inserts, touches, and reservation changes, for both policies.
+    /// of inserts, touches, and reservation changes.
     #[test]
     fn storage_never_exceeds_budget(
         budget in 1u64..10_000,
         ops in proptest::collection::vec(
             (0u64..16, 0u64..4_000, 0usize..4), 1..40),
     ) {
-        check_budget_respected(EvictionPolicy::Lrc, budget, &ops);
-        check_budget_respected(EvictionPolicy::Lru, budget, &ops);
+        check_budget_respected(budget, &ops);
     }
 
     /// Invariant 2: LRC never evicts an entry with live references while
@@ -62,7 +61,7 @@ proptest! {
         inserts in proptest::collection::vec((1u64..500, 0usize..3), 2..30),
         budget in 200u64..2_000,
     ) {
-        let mut m = MemoryManager::new(1, Some(budget), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(1, Some(budget));
         for (i, &(size, refs)) in inserts.iter().enumerate() {
             let out = m.insert(i as u64, vec![size], refs);
             let evicted = out.evicted();
@@ -89,7 +88,7 @@ proptest! {
         inserts in proptest::collection::vec((1u64..1_000, 1usize..3), 1..25),
         budget in 1u64..800,
     ) {
-        let mut m = MemoryManager::new(2, Some(budget), EvictionPolicy::Lrc);
+        let mut m = MemoryManager::new(2, Some(budget));
         let mut spilled: std::collections::BTreeMap<u64, u64> =
             std::collections::BTreeMap::new();
         let mut totals: std::collections::BTreeMap<u64, u64> =
